@@ -66,7 +66,6 @@ from .problems import (
     ignition_metrics,
     linear_exact,
     surrogate_rhs,
-    surrogate_rhs_monolithic,
     write_snapshot_csv,
 )
 from .campaign import (
@@ -133,7 +132,6 @@ __all__ = [
     "ignition_metrics",
     "linear_exact",
     "surrogate_rhs",
-    "surrogate_rhs_monolithic",
     "write_snapshot_csv",
     "CampaignSummary",
     "RunConfig",

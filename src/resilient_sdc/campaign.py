@@ -15,7 +15,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonRealizableStateError, UnrecoverableStepError
-from .faults import FaultConfig, FaultInjector, OneShotSpec, OneShotPerturbation, write_event_log
+from .faults import (
+    FaultConfig,
+    FaultInjector,
+    KernelHook,
+    OneShotPerturbation,
+    OneShotSpec,
+    write_event_log,
+)
 from .problems import (
     KERNEL_IDS,
     IgnitionSurrogate,
@@ -170,6 +177,9 @@ def summarize(values, *, runs=None, crash_count=0, restart_count=0):
 def _build_hook(cfg):
     if cfg.one_shot is not None:
         return OneShotPerturbation(cfg.one_shot, run_id=cfg.run_id)
+    if cfg.fault.mode == "off":
+        # A disarmed injector only counts kernel calls, as the base hook does.
+        return KernelHook(run_id=cfg.run_id)
     return FaultInjector(cfg.fault, run_id=cfg.run_id)
 
 
@@ -216,7 +226,7 @@ def run_single(cfg):
             error_history.append((step, sweep, err))
 
     trajectory, traces = [], []
-    status, error = "clean", None
+    status, error, aborted_at = "clean", None, None
     try:
         if cfg.integrator == "rk":
             trajectory = rk_integrate(
@@ -239,7 +249,7 @@ def run_single(cfg):
                 phi0, cfg.t_start, t_end, dt, rule, sys, cfg.controller
             )
     except (NonRealizableStateError, UnrecoverableStepError) as exc:
-        status, error = "aborted", str(exc)
+        status, error, aborted_at = "aborted", str(exc), exc.step_index
 
     if status != "aborted" and cfg.integrator == "sdc_resilient":
         if any(_trace_capped(trace, cfg.controller) for trace in traces):
@@ -250,6 +260,8 @@ def run_single(cfg):
         one_shot_fired = hook.warn_if_unfired()
 
     metrics = _collect_metrics(cfg, trajectory, traces, hook, status, dt)
+    if aborted_at is not None:
+        metrics["steps"] = aborted_at
     report = RunReport(
         config=cfg,
         status=status,

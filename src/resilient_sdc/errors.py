@@ -9,35 +9,47 @@ class NonRealizableStateError(RuntimeError):
     Raised for non-finite states or right-hand-side evaluations, and for
     realizability-guard violations (for example a temperature outside the
     configured bounds).  Carries enough position information to attribute
-    the failure to a node and sweep.
+    the failure to a node and sweep; the integrators attach the step index
+    while the error propagates, and the message is built from the fields
+    when it is read, so it names the step too.
     """
 
     def __init__(self, detail, *, node_index=None, sweep_index=None, step_index=None):
+        super().__init__(detail)
         self.detail = detail
         self.node_index = node_index
         self.sweep_index = sweep_index
         self.step_index = step_index
+
+    def __str__(self):
         where = []
-        if step_index is not None:
-            where.append(f"step {step_index}")
-        if sweep_index is not None:
-            where.append(f"sweep {sweep_index}")
-        if node_index is not None:
-            where.append(f"node {node_index}")
+        if self.step_index is not None:
+            where.append(f"step {self.step_index}")
+        if self.sweep_index is not None:
+            where.append(f"sweep {self.sweep_index}")
+        if self.node_index is not None:
+            where.append(f"node {self.node_index}")
         suffix = f" ({', '.join(where)})" if where else ""
-        super().__init__(f"{detail}{suffix}")
+        return f"{self.detail}{suffix}"
 
 
 class UnrecoverableStepError(RuntimeError):
-    """A timestep could not be completed within the restart budget."""
+    """A timestep could not be completed within the restart budget.
+
+    The message is built from the fields when it is read, so it names the
+    step index that the integrator attaches while the error propagates.
+    """
 
     def __init__(self, detail, *, step_index=None, restarts=None):
+        super().__init__(detail)
         self.detail = detail
         self.step_index = step_index
         self.restarts = restarts
-        where = f" at step {step_index}" if step_index is not None else ""
-        tries = f" after {restarts} restarts" if restarts is not None else ""
-        super().__init__(f"{detail}{where}{tries}")
+
+    def __str__(self):
+        where = f" at step {self.step_index}" if self.step_index is not None else ""
+        tries = f" after {self.restarts} restarts" if self.restarts is not None else ""
+        return f"{self.detail}{where}{tries}"
 
 
 class InsufficientHistoryError(ValueError):

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .sdc import ODESystem
+from .sdc import ODESystem, non_finite_violation
 
 __all__ = [
     "LinearProblem",
@@ -26,7 +26,6 @@ __all__ = [
     "gaussian_hotspot",
     "derivative_operator",
     "surrogate_rhs",
-    "surrogate_rhs_monolithic",
     "ignition_metrics",
     "linear_exact",
     "write_snapshot_csv",
@@ -86,15 +85,19 @@ class LinearProblem:
 
 
 def derivative_operator(field_values, dx):
-    """Periodic eighth-order central first derivative of a 1-D field."""
+    """Periodic eighth-order central first derivative along the last axis.
+
+    A ``(2, n)`` array of two fields gives, row by row, the same bits as two
+    calls on the 1-D fields.
+    """
     f = np.asarray(field_values, dtype=float)
-    if f.ndim != 1 or f.size < 9:
-        raise ValueError("derivative_operator needs a 1-D field of at least 9 points")
-    padded = np.concatenate((f[-4:], f, f[:4]))
-    n = f.size
-    out = np.zeros(n)
+    if f.ndim < 1 or f.shape[-1] < 9:
+        raise ValueError("derivative_operator needs a last axis of at least 9 points")
+    padded = np.concatenate((f[..., -4:], f, f[..., :4]), axis=-1)
+    n = f.shape[-1]
+    out = np.zeros(f.shape)
     for m, a_m in enumerate(_STENCIL, start=1):
-        out += a_m * (padded[4 + m : 4 + m + n] - padded[4 - m : 4 - m + n])
+        out += a_m * (padded[..., 4 + m : 4 + m + n] - padded[..., 4 - m : 4 - m + n])
     return out / dx
 
 
@@ -106,6 +109,9 @@ def _stencil_wavenumber_max():
     for m, a_m in enumerate(_STENCIL, start=1):
         symbol += 2.0 * a_m * np.sin(m * theta)
     return float(np.max(np.abs(symbol)))
+
+
+_STENCIL_WAVENUMBER_MAX = _stencil_wavenumber_max()
 
 
 @dataclass
@@ -156,12 +162,36 @@ class IgnitionSurrogate:
         converges below the sweep cap and a residual spike from a corrupted
         evaluation still leaves room for damping sweeps before the cap.
         """
-        kappa_max = _stencil_wavenumber_max() / self.dx
+        kappa_max = _STENCIL_WAVENUMBER_MAX / self.dx
         limit = 2.0 / (max(self.alpha, self.diff) * kappa_max**2)
         return 0.1 * limit
 
     def realizability(self, state):
-        """Bounds check on T and Y; returns None or a violation description."""
+        """None when the state is finite and inside the T and Y bounds, else
+        a description of the first violation.
+
+        One min/max pass per field decides: NaN and +-inf fail every bound
+        comparison, so a passing state is also finite.  Only a failing state
+        is scanned again, check by check in a fixed order -- non-finite
+        values, T above, T below, Y above, Y below -- to name the first
+        violated bound and its component.
+        """
+        fields = state.reshape(2, self.n_grid)
+        low = fields.min(axis=1)
+        high = fields.max(axis=1)
+        if (
+            self.t_min <= low[0]
+            and high[0] <= self.t_max
+            and self.y_min <= low[1]
+            and high[1] <= self.y_max
+        ):
+            return None
+        return self._violation(state)
+
+    def _violation(self, state):
+        violation = non_finite_violation(state)
+        if violation is not None:
+            return violation
         n = self.n_grid
         temperature = state[:n]
         fuel = state[n:]
@@ -214,25 +244,26 @@ def surrogate_rhs(state, t, cfg, hook=None):
     Every evaluation runs the six kernel stages in a fixed order and passes
     each stage's return array through the hook, so a windowed injector sees
     a deterministic call stream.  Second derivatives come from repeated
-    application of the first-derivative operator.
+    application of the first-derivative operator, each application taking
+    both fields at once; the hook edits the rows of the gradient pair in
+    place, so the fluxes see any corrupted gradient.
     """
     n = cfg.n_grid
-    temperature = state[:n]
-    fuel = state[n:]
+    fields = state.reshape(2, n)
+    temperature, fuel = fields
     if hook is not None:
         hook.observe_state(state)
 
-    gradient_t = derivative_operator(temperature, cfg.dx)
+    gradients = derivative_operator(fields, cfg.dx)
     if hook is not None:
-        hook.filter("gradient_T", gradient_t)
-    gradient_y = derivative_operator(fuel, cfg.dx)
-    if hook is not None:
-        hook.filter("gradient_Y", gradient_y)
+        hook.filter("gradient_T", gradients[0])
+        hook.filter("gradient_Y", gradients[1])
 
-    flux_t = cfg.alpha * derivative_operator(gradient_t, cfg.dx)
+    fluxes = derivative_operator(gradients, cfg.dx)
+    flux_t = cfg.alpha * fluxes[0]
     if hook is not None:
         hook.filter("diffusive_flux_T", flux_t)
-    flux_y = cfg.diff * derivative_operator(gradient_y, cfg.dx)
+    flux_y = cfg.diff * fluxes[1]
     if hook is not None:
         hook.filter("diffusive_flux_Y", flux_y)
 
@@ -245,21 +276,6 @@ def surrogate_rhs(state, t, cfg, hook=None):
     if hook is not None:
         hook.filter("assembly", out)
     return out
-
-
-def surrogate_rhs_monolithic(state, t, cfg):
-    """Single-expression reference evaluation, bitwise identical to the
-    kernelized path when no hook is armed; kept as a cross-check."""
-    n = cfg.n_grid
-    temperature = state[:n]
-    fuel = state[n:]
-    gradient_t = derivative_operator(temperature, cfg.dx)
-    gradient_y = derivative_operator(fuel, cfg.dx)
-    flux_t = cfg.alpha * derivative_operator(gradient_t, cfg.dx)
-    flux_y = cfg.diff * derivative_operator(gradient_y, cfg.dx)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        omega = cfg.arrhenius_a * fuel * np.exp(-cfg.t_act / temperature)
-    return np.concatenate((flux_t + cfg.heat_release * omega, flux_y - omega))
 
 
 def ignition_metrics(trajectory):

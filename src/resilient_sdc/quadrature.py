@@ -8,6 +8,7 @@ the same integrals between consecutive nodes and drives the sweep update.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +26,13 @@ _NEWTON_TOL = 1e-15
 _NEWTON_MAX_ITER = 100
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Collocation rule on [0, 1]: nodes plus the derived matrices.
 
-    Instances are built once per run and treated as immutable.
+    ``lobatto_rule`` builds one rule per node count and process and hands
+    the same instance to every caller, so instances are frozen and their
+    arrays read-only.
     """
 
     num_nodes: int
@@ -113,10 +116,13 @@ def node_to_node_matrix(q_matrix):
     return q[1:] - q[:-1]
 
 
+@functools.cache
 def lobatto_rule(num_nodes):
-    """Build the full quadrature rule for ``num_nodes`` Lobatto points."""
+    """The full quadrature rule for ``num_nodes`` Lobatto points, built on
+    the first call per node count and cached; its arrays are read-only."""
     nodes = lobatto_nodes(num_nodes)
     q = integration_matrix(nodes)
-    return QuadratureRule(
-        num_nodes=num_nodes, nodes=nodes, q_matrix=q, s_matrix=node_to_node_matrix(q)
-    )
+    s = node_to_node_matrix(q)
+    for array in (nodes, q, s):
+        array.flags.writeable = False
+    return QuadratureRule(num_nodes=num_nodes, nodes=nodes, q_matrix=q, s_matrix=s)

@@ -19,7 +19,7 @@ from .errors import (
     NonRealizableStateError,
     UnrecoverableStepError,
 )
-from .sdc import integrate_step, step_times
+from .sdc import integrate_step, non_finite_violation, step_times
 
 __all__ = [
     "ControllerConfig",
@@ -114,16 +114,13 @@ def controller_policy(cfg):
 def realizability_guard(state, sys):
     """None when the state is realizable, else a violation description.
 
-    Non-finite components are always violations; problem-specific bounds
-    come from ``sys.realizability`` when the system provides one.
+    Non-finite components are always violations: a system's own
+    ``realizability`` check reports them (see ODESystem), and a system
+    without one gets a finite-check here.
     """
-    finite = np.isfinite(state)
-    if not np.all(finite):
-        index = int(np.argmin(finite))
-        return f"non-finite value at component {index}"
     if sys.realizability is not None:
         return sys.realizability(state)
-    return None
+    return non_finite_violation(state)
 
 
 @dataclass(frozen=True)

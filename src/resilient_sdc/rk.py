@@ -73,14 +73,14 @@ def rk_step(phi_n, t, dt, tableau, sys):
     k = np.empty((tableau.stages, phi_n.size))
     for i in range(tableau.stages):
         stage_state = phi_n + dt * (tableau.a[i, :i] @ k[:i])
-        if not np.all(np.isfinite(stage_state)):
+        if not np.isfinite(stage_state).all():
             raise NonRealizableStateError(
                 "non-finite stage value", node_index=i, sweep_index=1
             )
         if hook is not None:
             hook.begin_node(i)
         k[i] = sys.rhs(stage_state, t + tableau.c[i] * dt)
-        if not np.all(np.isfinite(k[i])):
+        if not np.isfinite(k[i]).all():
             raise NonRealizableStateError(
                 "non-finite stage rhs", node_index=i, sweep_index=1
             )

@@ -22,6 +22,7 @@ __all__ = [
     "predictor",
     "sdc_sweep",
     "residual",
+    "non_finite_violation",
     "residual_max_norm",
     "integrate_step",
     "integrate",
@@ -34,7 +35,8 @@ class ODESystem:
     """Autonomous-in-shape ODE d(phi)/dt = rhs(phi, t) on flat float64 state.
 
     ``realizability`` optionally maps a state to None (ok) or a string
-    describing the violated bound.  ``hook`` is an optional kernel-level
+    describing the violated bound; a non-finite state must count as a
+    violation too (``non_finite_violation`` describes one).  ``hook`` is an optional kernel-level
     fault-injection observer; integrators notify it of the current
     (step, sweep, node) position and kernelized right-hand sides pass their
     return arrays through it.
@@ -67,8 +69,17 @@ class SweepTrace:
     restarts: int = 0
 
 
+def non_finite_violation(state):
+    """None when every component is finite, else a description naming the
+    first non-finite component."""
+    finite = np.isfinite(state)
+    if finite.all():
+        return None
+    return f"non-finite value at component {int(np.argmin(finite))}"
+
+
 def _require_finite(array, detail, *, node_index, sweep_index):
-    if not np.all(np.isfinite(array)):
+    if not np.isfinite(array).all():
         raise NonRealizableStateError(
             detail, node_index=node_index, sweep_index=sweep_index
         )
@@ -166,10 +177,15 @@ def residual_max_norm(sol, rule):
     return float(np.max(np.abs(residual(sol, rule))))
 
 
-def _check_states(sol, state_check, sweep_index):
+def _check_states(sol, state_check, sweep_index, *, first_node=0):
+    """Apply ``state_check`` to the node states from ``first_node`` on.
+
+    Correction sweeps pass ``first_node=1``: they never write node 0, which
+    still holds the step's start state that the predictor's check passed.
+    """
     if state_check is None:
         return
-    for m in range(sol.node_states.shape[0]):
+    for m in range(first_node, sol.node_states.shape[0]):
         violation = state_check(sol.node_states[m])
         if violation is not None:
             raise NonRealizableStateError(
@@ -220,7 +236,7 @@ def integrate_step(
             break
         sweep_index = trace.sweeps_taken + 1
         sol = sdc_sweep(sol, rule, sys, sweep_index=sweep_index)
-        _check_states(sol, state_check, sweep_index)
+        _check_states(sol, state_check, sweep_index, first_node=1)
         trace.residual_maxnorms.append(residual_max_norm(sol, rule))
         trace.sweeps_taken = sweep_index
         if sweep_observer is not None:

@@ -1,20 +1,12 @@
 """Shared test plumbing.
 
 The end-to-end suite in test_acceptance.py records one PASS/FAIL line per
-criterion; the terminal-summary hook below repeats those lines after the
-run so they are visible even when pytest captures test output.
+criterion (see acceptance_log.py); the terminal-summary hook below repeats
+those lines after the run so they are visible even when pytest captures
+test output.
 """
 
-ACCEPTANCE_LINES = []
-
-
-def record_criterion(number, title, passed, detail):
-    """Register (and immediately print) one acceptance-criterion verdict."""
-    verdict = "PASS" if passed else "FAIL"
-    line = f"criterion {number} [{verdict}] {title}: {detail}"
-    ACCEPTANCE_LINES.append((number, line))
-    print(line)
-    return line
+from acceptance_log import ACCEPTANCE_LINES
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

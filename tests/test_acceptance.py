@@ -1,8 +1,8 @@
 """End-to-end acceptance checks, one per advertised property of the toolkit.
 
 Each test computes its quantities at the stated tolerances and records a
-single ``criterion N [PASS|FAIL]`` line (collected by conftest and echoed in
-the terminal summary), then asserts.  The campaign comparison (criterion 6)
+single ``criterion N [PASS|FAIL]`` line (collected by acceptance_log and
+echoed in the terminal summary), then asserts.  The campaign comparison (criterion 6)
 runs two 200-member Monte Carlo arms and takes a few minutes; everything
 else finishes in seconds.
 """
@@ -14,7 +14,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import record_criterion
+from acceptance_log import record_criterion
 from resilient_sdc.campaign import (
     RunConfig,
     convergence_study,

@@ -122,6 +122,9 @@ def test_rk_crashes_on_a_non_finite_one_shot():
     assert report.status == "aborted"
     assert report.error is not None
     assert math.isnan(report.metrics["final_peak_T"])
+    # the report names the step that aborted and counts the steps before it
+    assert "(step 2, sweep 1, node 0)" in report.error
+    assert report.metrics["steps"] == 2
 
 
 def test_resilient_recovers_from_the_same_one_shot():

@@ -16,7 +16,6 @@ from resilient_sdc.problems import (
     ignition_metrics,
     linear_exact,
     surrogate_rhs,
-    surrogate_rhs_monolithic,
     write_snapshot_csv,
 )
 from resilient_sdc.quadrature import lobatto_rule
@@ -92,6 +91,23 @@ def test_derivative_operator_input_validation():
         derivative_operator(np.ones(8), 0.1)
     with pytest.raises(ValueError):
         derivative_operator(np.ones((4, 4)), 0.1)
+    with pytest.raises(ValueError):
+        derivative_operator(np.ones((2, 8)), 0.1)
+    with pytest.raises(ValueError):
+        derivative_operator(7.0, 0.1)
+    assert derivative_operator(np.ones((2, 9)), 0.1).shape == (2, 9)
+
+
+def test_field_pair_rows_equal_single_field_calls_bitwise():
+    """The operator works along the last axis: each row of a (2, n) call has
+    the bits of the 1-D call on that row."""
+    rng = np.random.default_rng(7)
+    for n in (9, 16, 120):
+        pair = rng.uniform(-3.0, 3.0, (2, n)) * 10.0 ** rng.integers(-3, 4, (2, 1))
+        batched = derivative_operator(pair, 1.0 / n)
+        for row in range(2):
+            single = derivative_operator(pair[row], 1.0 / n)
+            assert batched[row].tobytes() == single.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -122,16 +138,67 @@ def test_initial_state_is_realizable():
 # kernelized right-hand side
 
 
-def test_kernelized_and_monolithic_rhs_are_bitwise_identical():
-    cfg = IgnitionSurrogate()
-    rng = np.random.default_rng(42)
-    for _ in range(10):
+def surrogate_rhs_monolithic(state, t, cfg, corrupt=None):
+    """Reference evaluation with one 1-D stencil call per field and stage.
+
+    ``corrupt(kernel_id, array)``, when given, may edit each stage's result
+    in place before the next stage reads it, in the declared kernel order.
+    """
+    corrupt = corrupt or (lambda kernel_id, array: None)
+    n = cfg.n_grid
+    temperature = state[:n]
+    fuel = state[n:]
+    gradient_t = derivative_operator(temperature, cfg.dx)
+    corrupt("gradient_T", gradient_t)
+    gradient_y = derivative_operator(fuel, cfg.dx)
+    corrupt("gradient_Y", gradient_y)
+    flux_t = cfg.alpha * derivative_operator(gradient_t, cfg.dx)
+    corrupt("diffusive_flux_T", flux_t)
+    flux_y = cfg.diff * derivative_operator(gradient_y, cfg.dx)
+    corrupt("diffusive_flux_Y", flux_y)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        omega = cfg.arrhenius_a * fuel * np.exp(-cfg.t_act / temperature)
+    corrupt("reaction_rate", omega)
+    out = np.concatenate((flux_t + cfg.heat_release * omega, flux_y - omega))
+    corrupt("assembly", out)
+    return out
+
+
+def _random_states(cfg, count, seed=42):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
         temperature = rng.uniform(300.0, 2000.0, cfg.n_grid)
         fuel = rng.uniform(0.0, 1.0, cfg.n_grid)
-        state = np.concatenate((temperature, fuel))
+        yield np.concatenate((temperature, fuel))
+
+
+def test_kernelized_and_monolithic_rhs_are_bitwise_identical():
+    cfg = IgnitionSurrogate()
+    for state in _random_states(cfg, 10):
         kernelized = surrogate_rhs(state, 0.0, cfg, hook=None)
         monolithic = surrogate_rhs_monolithic(state, 0.0, cfg)
-        np.testing.assert_array_equal(kernelized, monolithic)
+        assert kernelized.tobytes() == monolithic.tobytes()
+
+
+def test_stage_edits_reach_the_next_stage_as_in_the_reference():
+    """A hook's in-place edit of any stage, gradient rows included, feeds
+    the later stages exactly as it does in the per-field reference."""
+
+    def corrupt(kernel_id, array):
+        offset = 7 + KERNEL_IDS.index(kernel_id)
+        array[offset] = array[offset] * -1.0e3 + 1.0
+
+    class Corrupting(KernelHook):
+        def filter(self, kernel_id, array):
+            super().filter(kernel_id, array)
+            corrupt(kernel_id, array)
+
+    cfg = IgnitionSurrogate()
+    for state in _random_states(cfg, 3, seed=5):
+        kernelized = surrogate_rhs(state, 0.0, cfg, hook=Corrupting())
+        reference = surrogate_rhs_monolithic(state, 0.0, cfg, corrupt)
+        assert kernelized.tobytes() == reference.tobytes()
+        assert kernelized.tobytes() != surrogate_rhs_monolithic(state, 0.0, cfg).tobytes()
 
 
 def test_disarmed_hook_does_not_change_the_rhs():

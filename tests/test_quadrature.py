@@ -134,3 +134,15 @@ def test_integration_matrix_input_validation():
 def test_node_to_node_matrix_requires_square():
     with pytest.raises(ValueError):
         node_to_node_matrix(np.zeros((3, 2)))
+
+
+def test_rules_are_cached_per_node_count_and_read_only():
+    rule = lobatto_rule(3)
+    assert lobatto_rule(3) is rule
+    assert lobatto_rule(4) is not rule
+    for array in (rule.nodes, rule.q_matrix, rule.s_matrix):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    with pytest.raises(AttributeError):
+        rule.q_matrix = np.zeros((3, 3))
+    np.testing.assert_array_equal(rule.nodes, [0.0, 0.5, 1.0])

@@ -114,6 +114,64 @@ def test_guard_rejects_non_finite_components():
     assert "non-finite" in message and "17" in message
 
 
+def test_guard_without_bounds_rejects_non_finite_components():
+    sys_ = LinearProblem().system()
+    assert realizability_guard(np.array([1.0, -2.0]), sys_) is None
+    assert realizability_guard(np.array([1.0, np.inf]), sys_) == "non-finite value at component 1"
+
+
+def _four_pass_guard(state, prob):
+    """Reference guard: a finite scan, then one scan per bound."""
+    finite = np.isfinite(state)
+    if not np.all(finite):
+        return f"non-finite value at component {int(np.argmin(finite))}"
+    n = prob.n_grid
+    temperature, fuel = state[:n], state[n:]
+    if np.any(temperature > prob.t_max):
+        return f"temperature above {prob.t_max} at component {int(np.argmax(temperature > prob.t_max))}"
+    if np.any(temperature < prob.t_min):
+        return f"temperature below {prob.t_min} at component {int(np.argmax(temperature < prob.t_min))}"
+    if np.any(fuel > prob.y_max):
+        return f"fuel fraction above {prob.y_max} at component {n + int(np.argmax(fuel > prob.y_max))}"
+    if np.any(fuel < prob.y_min):
+        return f"fuel fraction below {prob.y_min} at component {n + int(np.argmax(fuel < prob.y_min))}"
+    return None
+
+
+def _guard_cases(prob):
+    """(name, {component: value}) cases covering every branch of the guard."""
+    n = prob.n_grid
+    cases = [
+        ("realizable", {}),
+        ("on the bounds", {3: prob.t_max, 4: prob.t_min, n + 3: prob.y_max, n + 4: prob.y_min}),
+        ("T above", {5: prob.t_max + 1.0}),
+        ("T below", {5: prob.t_min - 1.0}),
+        ("Y above", {n + 2: prob.y_max + 0.5}),
+        ("Y below", {n + 3: prob.y_min - 0.5}),
+        # two violations: the first check in the fixed order wins, wherever it is
+        ("T below before T above", {10: prob.t_min - 1.0, 30: prob.t_max + 1.0}),
+        ("Y below and T below", {n + 1: prob.y_min - 1.0, 50: prob.t_min - 1.0}),
+        ("Y above and Y below", {n + 1: prob.y_min - 1.0, n + 60: prob.y_max + 1.0}),
+        ("T above and non-finite Y", {3: prob.t_max + 1.0, n + 40: np.nan}),
+    ]
+    for bad in (np.nan, np.inf, -np.inf):
+        cases.append((f"{bad} in T", {17: bad}))
+        cases.append((f"{bad} in Y", {n + 17: bad}))
+    return cases
+
+
+def test_one_pass_guard_matches_the_four_pass_reference():
+    prob = IgnitionSurrogate()
+    sys_ = prob.system()
+    for name, edits in _guard_cases(prob):
+        state = prob.initial_state()
+        for index, value in edits.items():
+            state[index] = value
+        expected = _four_pass_guard(state, prob)
+        assert realizability_guard(state, sys_) == expected, name
+        assert (expected is None) == (name in ("realizable", "on the bounds")), name
+
+
 # ---------------------------------------------------------------------------
 # checkpoint capture
 
@@ -190,6 +248,7 @@ def test_integrate_resilient_attaches_step_index_on_abort():
             lobatto_rule(3), prob.system(hook), CFG,
         )
     assert excinfo.value.step_index == 0
+    assert str(excinfo.value).endswith(f"at step 0 after {CFG.max_restarts} restarts")
 
 
 def test_resilient_trajectory_matches_fixed_run_when_counts_agree():

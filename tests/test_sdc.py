@@ -1,4 +1,5 @@
-"""Core sweep mechanics on the scalar linear problem."""
+"""Core sweep mechanics on the scalar linear problem, and the per-node
+realizability checks on the ignition surrogate."""
 
 import math
 
@@ -6,8 +7,10 @@ import numpy as np
 import pytest
 
 from resilient_sdc.errors import NonRealizableStateError
-from resilient_sdc.problems import LinearProblem
+from resilient_sdc.faults import KernelHook
+from resilient_sdc.problems import KERNEL_IDS, IgnitionSurrogate, LinearProblem
 from resilient_sdc.quadrature import lobatto_rule
+from resilient_sdc.resilience import realizability_guard
 from resilient_sdc.sdc import (
     integrate,
     integrate_step,
@@ -165,3 +168,56 @@ def test_sweep_observer_sees_every_iteration(linear):
         sweep_observer=lambda step, sweep, sol: seen.append((step, sweep)),
     )
     assert seen == [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3)]
+
+
+# ---------------------------------------------------------------------------
+# realizability checks on the ignition surrogate
+
+
+def test_state_checks_skip_node_zero_after_the_predictor():
+    """The predictor's node states are all checked; a correction sweep's
+    only from node 1 on, since no sweep writes node 0."""
+    prob = IgnitionSurrogate()
+    sys_ = prob.system()
+    rule = lobatto_rule(3)
+    log = []
+
+    def check(state):
+        log.append(("check", state.copy()))
+        return realizability_guard(state, sys_)
+
+    def observe(sweep, sol):
+        log.append(("sweep", sweep, sol.node_states.copy()))
+
+    sweeps = 4
+    integrate_step(prob.initial_state(), 0.0, prob.default_dt(), rule, sys_, sweeps,
+                   state_check=check, sweep_observer=observe)
+    checks_per_sweep, checked = [], []
+    for entry in log:
+        if entry[0] == "check":
+            checked.append(entry[1])
+            continue
+        _, sweep, states = entry
+        first = 0 if sweep == 1 else 1
+        assert len(checked) == rule.num_nodes - first
+        for state, node_state in zip(checked, states[first:]):
+            assert state.tobytes() == node_state.tobytes()
+        checks_per_sweep.append(len(checked))
+        checked = []
+    assert checks_per_sweep == [3, 2, 2, 2]
+
+
+def test_unrealizable_start_aborts_at_the_predictor_node_zero():
+    prob = IgnitionSurrogate()
+    hook = KernelHook()
+    sys_ = prob.system(hook)
+    phi0 = prob.initial_state()
+    phi0[0] = prob.t_max + 1.0
+    with pytest.raises(NonRealizableStateError) as excinfo:
+        integrate(phi0, 0.0, 3 * prob.default_dt(), prob.default_dt(), lobatto_rule(3), sys_, 4,
+                  state_check=lambda state: realizability_guard(state, sys_))
+    error = excinfo.value
+    assert (error.step_index, error.sweep_index, error.node_index) == (0, 1, 0)
+    assert str(error) == "temperature above 2750.0 at component 0 (step 0, sweep 1, node 0)"
+    # the predictor evaluates every node before its states are checked
+    assert hook.call_count == 3 * len(KERNEL_IDS)
