@@ -33,7 +33,7 @@ from .problems import (
 from .quadrature import lobatto_rule
 from .resilience import ControllerConfig, integrate_resilient, realizability_guard, residual_ratios
 from .rk import classical_rk4, rk_integrate
-from .sdc import integrate
+from .sdc import integrate, step_times
 
 __all__ = [
     "RunConfig",
@@ -466,7 +466,7 @@ def sensitivity_sweep(cfg, kernels=None, *, step_index=None):
         raise ValueError("sensitivity_sweep is defined for the ignition surrogate")
     kernels = list(kernels) if kernels is not None else list(KERNEL_IDS)
     if step_index is None:
-        n_steps = len(np.arange(0.0, cfg.resolved_t_end(), cfg.resolved_dt()))
+        n_steps = len(step_times(cfg.t_start, cfg.resolved_t_end(), cfg.resolved_dt())) - 1
         step_index = max(n_steps // 3, 0)
 
     base_cfg = replace(cfg, one_shot=None, fault=replace(cfg.fault, mode="off"), output_dir=None)

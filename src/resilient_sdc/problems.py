@@ -11,6 +11,7 @@ kernelized structure of a production reacting-flow code.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -34,6 +35,7 @@ __all__ = [
 # Eighth-order central first-derivative coefficients for offsets 1..4;
 # the stencil is antisymmetric: +a_m at i+m, -a_m at i-m.
 _STENCIL = np.array([4.0 / 5.0, -1.0 / 5.0, 4.0 / 105.0, -1.0 / 280.0])
+_STENCIL_COLUMN = _STENCIL[:, None]
 
 KERNEL_IDS = (
     "gradient_T",
@@ -84,21 +86,34 @@ class LinearProblem:
         return linear_exact(t, self.s, self.y0)
 
 
+@functools.cache
+def _stencil_indices(n):
+    """Read-only ``(8, n)`` table of periodic neighbour indices: rows 0..3
+    hold i+1..i+4, rows 4..7 hold i-1..i-4 (all modulo n)."""
+    offsets = np.concatenate((np.arange(1, 5), -np.arange(1, 5)))
+    table = (np.arange(n) + offsets[:, None]) % n
+    table.setflags(write=False)
+    return table
+
+
 def derivative_operator(field_values, dx):
     """Periodic eighth-order central first derivative along the last axis.
 
     A ``(2, n)`` array of two fields gives, row by row, the same bits as two
-    calls on the 1-D fields.
+    calls on the 1-D fields.  The arithmetic has a fixed order: each point
+    gets ``a_m * (f[i+m] - f[i-m])`` for m = 1..4, added elementwise in that
+    order starting from +0.0, then divided by ``dx``.  No matrix product or
+    BLAS contraction is used, since those round differently.
     """
     f = np.asarray(field_values, dtype=float)
     if f.ndim < 1 or f.shape[-1] < 9:
         raise ValueError("derivative_operator needs a last axis of at least 9 points")
-    padded = np.concatenate((f[..., -4:], f, f[..., :4]), axis=-1)
-    n = f.shape[-1]
-    out = np.zeros(f.shape)
-    for m, a_m in enumerate(_STENCIL, start=1):
-        out += a_m * (padded[..., 4 + m : 4 + m + n] - padded[..., 4 - m : 4 - m + n])
-    return out / dx
+    neighbours = np.take(f, _stencil_indices(f.shape[-1]), axis=-1)
+    terms = neighbours[..., :4, :] - neighbours[..., 4:, :]
+    terms *= _STENCIL_COLUMN
+    # The +0.0 start is stated, not left to the start a numpy version picks
+    # for float sums: a column of -0.0 terms sums to +0.0.
+    return np.add.reduce(terms, axis=-2, initial=0.0) / dx
 
 
 def _stencil_wavenumber_max():

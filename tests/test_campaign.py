@@ -282,6 +282,22 @@ def test_sensitivity_reports_unreachable_kernel_as_zero(caplog):
     assert any("never fired" in rec.message for rec in caplog.records)
 
 
+def test_sensitivity_default_step_counts_from_a_late_start(caplog):
+    """The default fault step is a third of the steps the run actually
+    takes, counted from t_start, so it falls inside a late-starting run."""
+    cfg = _ignition_cfg(
+        integrator="sdc_fixed",
+        fault=FaultConfig(mode="off", scale=1.5),
+        t_start=45 * _DT,
+        t_end=60 * _DT,
+    )
+    with caplog.at_level("WARNING"):
+        rows = sensitivity_sweep(cfg, kernels=["reaction_rate"])
+    assert not any("never fired" in rec.message for rec in caplog.records)
+    assert rows[0]["status"] == "completed"
+    assert rows[0]["deviation"] != 0.0
+
+
 def test_sensitivity_requires_the_surrogate():
     with pytest.raises(ValueError):
         sensitivity_sweep(RunConfig(problem="linear"))

@@ -11,6 +11,7 @@ from resilient_sdc.problems import (
     KERNEL_IDS,
     IgnitionSurrogate,
     LinearProblem,
+    _stencil_indices,
     derivative_operator,
     gaussian_hotspot,
     ignition_metrics,
@@ -62,6 +63,23 @@ def test_schedule_is_inert_without_a_hook():
 # derivative stencil
 
 
+_STENCIL = np.array([4.0 / 5.0, -1.0 / 5.0, 4.0 / 105.0, -1.0 / 280.0])
+
+
+def _loop_derivative(field_values, dx):
+    """Reference stencil: pad periodically, then add the offset terms one
+    pass at a time, m = 1..4, into a zero-filled array."""
+    f = np.asarray(field_values, dtype=float)
+    if f.ndim < 1 or f.shape[-1] < 9:
+        raise ValueError("derivative_operator needs a last axis of at least 9 points")
+    padded = np.concatenate((f[..., -4:], f, f[..., :4]), axis=-1)
+    n = f.shape[-1]
+    out = np.zeros(f.shape)
+    for m, a_m in enumerate(_STENCIL, start=1):
+        out += a_m * (padded[..., 4 + m : 4 + m + n] - padded[..., 4 - m : 4 - m + n])
+    return out / dx
+
+
 def test_derivative_of_constant_is_exactly_zero():
     assert np.all(derivative_operator(np.full(32, 7.25), 0.1) == 0.0)
 
@@ -110,6 +128,53 @@ def test_field_pair_rows_equal_single_field_calls_bitwise():
             assert batched[row].tobytes() == single.tobytes()
 
 
+def _extreme_values(rng, shape):
+    """Magnitudes from 1e-300 to 1e300 of either sign, with -0.0, NaN and
+    +-inf mixed in."""
+    values = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-300.0, 300.0, shape)
+    specials = np.array([-0.0, np.nan, np.inf, -np.inf])
+    mask = rng.random(shape) < 0.1
+    values[mask] = rng.choice(specials, int(mask.sum()))
+    return values
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_derivative_operator_is_bitwise_equal_to_the_loop_reference():
+    """Same differences, same products, same summation order from +0.0:
+    every bit, signed zeros and NaNs included, matches the loop form."""
+    rng = np.random.default_rng(2024)
+    for n in (9, 10, 17, 120):
+        state = _extreme_values(rng, 2 * n)
+        inputs = [
+            _extreme_values(rng, n),
+            _extreme_values(rng, (2, n)),
+            _extreme_values(rng, (3, 2, n)),
+            state.reshape(2, n)[:, ::-1],
+            rng.uniform(-1.0, 1.0, (2, n)) * 10.0 ** rng.integers(-3, 4, (2, 1)),
+        ]
+        zeros = np.zeros((2, n))
+        zeros[0, [0, 2]] = -0.0
+        zeros[1, n - 1] = -0.0
+        inputs.append(zeros)
+        for f in inputs:
+            for dx in (1.0 / n, 0.1, 3.0):
+                got = derivative_operator(f, dx)
+                want = _loop_derivative(f, dx)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
+def test_stencil_index_table_is_cached_per_length_and_read_only():
+    table = _stencil_indices(12)
+    assert table is _stencil_indices(12)
+    assert table is not _stencil_indices(13)
+    assert table.shape == (8, 12)
+    np.testing.assert_array_equal(table[0], np.roll(np.arange(12), -1))
+    np.testing.assert_array_equal(table[7], np.roll(np.arange(12), 4))
+    with pytest.raises(ValueError):
+        table[0, 0] = 5
+
+
 # ---------------------------------------------------------------------------
 # hot-spot initial condition
 
@@ -148,13 +213,13 @@ def surrogate_rhs_monolithic(state, t, cfg, corrupt=None):
     n = cfg.n_grid
     temperature = state[:n]
     fuel = state[n:]
-    gradient_t = derivative_operator(temperature, cfg.dx)
+    gradient_t = _loop_derivative(temperature, cfg.dx)
     corrupt("gradient_T", gradient_t)
-    gradient_y = derivative_operator(fuel, cfg.dx)
+    gradient_y = _loop_derivative(fuel, cfg.dx)
     corrupt("gradient_Y", gradient_y)
-    flux_t = cfg.alpha * derivative_operator(gradient_t, cfg.dx)
+    flux_t = cfg.alpha * _loop_derivative(gradient_t, cfg.dx)
     corrupt("diffusive_flux_T", flux_t)
-    flux_y = cfg.diff * derivative_operator(gradient_y, cfg.dx)
+    flux_y = cfg.diff * _loop_derivative(gradient_y, cfg.dx)
     corrupt("diffusive_flux_Y", flux_y)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         omega = cfg.arrhenius_a * fuel * np.exp(-cfg.t_act / temperature)
