@@ -6,7 +6,8 @@ replaced by underscores); explicit flags win.  The output directory falls
 back to the RESILIENT_SDC_OUTPUT_DIR environment variable, then ./runs.
 
 Exit codes: 0 clean completion, 2 configuration error, 3 unrecoverable
-integration failure.
+integration failure, 4 completed with some steps accepted at the sweep cap
+(status ``capped``).
 """
 
 from __future__ import annotations

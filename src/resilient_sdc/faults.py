@@ -250,9 +250,21 @@ class FaultInjector(KernelHook):
         ]
 
     def filter(self, kernel_id, array):
+        """Advance every stream by one kernel call.
+
+        A call that is neither a stream's drawn fault call nor the last call
+        of its window only advances that stream's counter; every other call
+        goes through ``maybe_inject``, the one path that fires faults and
+        starts new windows.
+        """
         call_index = self.call_count
         self.call_count += 1
+        window_end = self.cfg.window - 1
         for stream in self.streams:
+            counter = stream.counter
+            if counter != stream.fault_call and counter != window_end:
+                stream.counter = counter + 1
+                continue
             event = maybe_inject(
                 array,
                 kernel_id,

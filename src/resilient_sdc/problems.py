@@ -108,7 +108,7 @@ def derivative_operator(field_values, dx):
     f = np.asarray(field_values, dtype=float)
     if f.ndim < 1 or f.shape[-1] < 9:
         raise ValueError("derivative_operator needs a last axis of at least 9 points")
-    neighbours = np.take(f, _stencil_indices(f.shape[-1]), axis=-1)
+    neighbours = f.take(_stencil_indices(f.shape[-1]), axis=-1)
     terms = neighbours[..., :4, :] - neighbours[..., 4:, :]
     terms *= _STENCIL_COLUMN
     # The +0.0 start is stated, not left to the start a numpy version picks
@@ -192,8 +192,8 @@ class IgnitionSurrogate:
         violated bound and its component.
         """
         fields = state.reshape(2, self.n_grid)
-        low = fields.min(axis=1)
-        high = fields.max(axis=1)
+        low = np.minimum.reduce(fields, axis=1)
+        high = np.maximum.reduce(fields, axis=1)
         if (
             self.t_min <= low[0]
             and high[0] <= self.t_max
@@ -253,6 +253,7 @@ def gaussian_hotspot(cfg):
     return np.concatenate((temperature, fuel))
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def surrogate_rhs(state, t, cfg, hook=None):
     """Kernelized right-hand side of the ignition surrogate.
 
@@ -261,20 +262,24 @@ def surrogate_rhs(state, t, cfg, hook=None):
     a deterministic call stream.  Second derivatives come from repeated
     application of the first-derivative operator, each application taking
     both fields at once; the hook edits the rows of the gradient pair in
-    place, so the fluxes see any corrupted gradient.
+    place, so the fluxes see any corrupted gradient.  Floating-point
+    overflow and invalid-operation warnings are off for the whole
+    evaluation: a corrupted state may overflow in any stage, and the
+    integrators' finite checks report it.
     """
     n = cfg.n_grid
+    dx = cfg.dx
     fields = state.reshape(2, n)
     temperature, fuel = fields
     if hook is not None:
         hook.observe_state(state)
 
-    gradients = derivative_operator(fields, cfg.dx)
+    gradients = derivative_operator(fields, dx)
     if hook is not None:
         hook.filter("gradient_T", gradients[0])
         hook.filter("gradient_Y", gradients[1])
 
-    fluxes = derivative_operator(gradients, cfg.dx)
+    fluxes = derivative_operator(gradients, dx)
     flux_t = cfg.alpha * fluxes[0]
     if hook is not None:
         hook.filter("diffusive_flux_T", flux_t)
@@ -282,8 +287,7 @@ def surrogate_rhs(state, t, cfg, hook=None):
     if hook is not None:
         hook.filter("diffusive_flux_Y", flux_y)
 
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        omega = cfg.arrhenius_a * fuel * np.exp(-cfg.t_act / temperature)
+    omega = cfg.arrhenius_a * fuel * np.exp(-cfg.t_act / temperature)
     if hook is not None:
         hook.filter("reaction_rate", omega)
 

@@ -78,24 +78,6 @@ def non_finite_violation(state):
     return f"non-finite value at component {int(np.argmin(finite))}"
 
 
-def _require_finite(array, detail, *, node_index, sweep_index):
-    if not np.isfinite(array).all():
-        raise NonRealizableStateError(
-            detail, node_index=node_index, sweep_index=sweep_index
-        )
-
-
-def _eval_rhs(sys, state, t, node_index, sweep_index):
-    hook = sys.hook
-    if hook is not None:
-        hook.begin_node(node_index)
-    f = sys.rhs(state, t)
-    _require_finite(
-        f, "non-finite rhs evaluation", node_index=node_index, sweep_index=sweep_index
-    )
-    return f
-
-
 def predictor(phi_n, rule, sys, t_start, dt):
     """Explicit-Euler prediction node by node; counts as sweep 1.
 
@@ -107,21 +89,29 @@ def predictor(phi_n, rule, sys, t_start, dt):
     phi_n = np.asarray(phi_n, dtype=float)
     num_nodes = rule.num_nodes
     times = t_start + dt * rule.nodes
+    hook = sys.hook
+    rhs = sys.rhs
 
-    if sys.hook is not None:
-        sys.hook.begin_sweep(1)
+    if hook is not None:
+        hook.begin_sweep(1)
 
     states = np.empty((num_nodes, phi_n.size))
     rhs_vals = np.empty_like(states)
     states[0] = phi_n
-    _require_finite(states[0], "non-finite state", node_index=0, sweep_index=1)
-    rhs_vals[0] = _eval_rhs(sys, states[0], times[0], 0, 1)
-    for m in range(num_nodes - 1):
-        states[m + 1] = states[m] + (times[m + 1] - times[m]) * rhs_vals[m]
-        _require_finite(
-            states[m + 1], "non-finite state", node_index=m + 1, sweep_index=1
-        )
-        rhs_vals[m + 1] = _eval_rhs(sys, states[m + 1], times[m + 1], m + 1, 1)
+    for m in range(num_nodes):
+        row = states[m]
+        if m > 0:
+            np.add(states[m - 1], (times[m] - times[m - 1]) * rhs_vals[m - 1], out=row)
+        if not np.isfinite(row).all():
+            raise NonRealizableStateError("non-finite state", node_index=m, sweep_index=1)
+        if hook is not None:
+            hook.begin_node(m)
+        f = rhs(row, times[m])
+        if not np.isfinite(f).all():
+            raise NonRealizableStateError(
+                "non-finite rhs evaluation", node_index=m, sweep_index=1
+            )
+        rhs_vals[m] = f
     return NodeSolution(
         node_states=states, node_rhs=rhs_vals, t_start=t_start, dt=dt, times=times
     )
@@ -133,31 +123,42 @@ def sdc_sweep(sol, rule, sys, *, sweep_index=None):
     Node 0 is left untouched and its cached rhs is reused, so a sweep costs
     exactly ``num_nodes - 1`` new rhs evaluations.  The update propagates the
     new iterate left to right, correcting each interval with the difference
-    of Euler terms plus the node-to-node integral of the previous iterate.
+    of Euler terms plus the node-to-node integral of the previous iterate:
+    node m + 1 gets ``states[m] + width * (new_rhs[m] - old_rhs[m])`` plus
+    ``dt * (s_matrix[m] @ old_rhs)``, added in that order.
     """
     hook = sys.hook
+    rhs = sys.rhs
     if hook is not None and sweep_index is not None:
         hook.begin_sweep(sweep_index)
 
     times = sol.times
-    new_states = sol.node_states.copy()
-    new_rhs = sol.node_rhs.copy()
-    for m in range(rule.num_nodes - 1):
-        integral = sol.dt * (rule.s_matrix[m] @ sol.node_rhs)
-        euler_diff = (times[m + 1] - times[m]) * (new_rhs[m] - sol.node_rhs[m])
-        new_states[m + 1] = new_states[m] + euler_diff + integral
-        _require_finite(
-            new_states[m + 1],
-            "non-finite state",
-            node_index=m + 1,
-            sweep_index=sweep_index,
-        )
-        new_rhs[m + 1] = _eval_rhs(sys, new_states[m + 1], times[m + 1], m + 1, sweep_index)
+    dt = sol.dt
+    s_matrix = rule.s_matrix
+    old_rhs = sol.node_rhs
+    states = sol.node_states.copy()
+    new_rhs = old_rhs.copy()
+    for m in range(1, rule.num_nodes):
+        row = states[m]
+        euler_diff = (times[m] - times[m - 1]) * (new_rhs[m - 1] - old_rhs[m - 1])
+        np.add(states[m - 1] + euler_diff, dt * (s_matrix[m - 1] @ old_rhs), out=row)
+        if not np.isfinite(row).all():
+            raise NonRealizableStateError(
+                "non-finite state", node_index=m, sweep_index=sweep_index
+            )
+        if hook is not None:
+            hook.begin_node(m)
+        f = rhs(row, times[m])
+        if not np.isfinite(f).all():
+            raise NonRealizableStateError(
+                "non-finite rhs evaluation", node_index=m, sweep_index=sweep_index
+            )
+        new_rhs[m] = f
     return NodeSolution(
-        node_states=new_states,
+        node_states=states,
         node_rhs=new_rhs,
         t_start=sol.t_start,
-        dt=sol.dt,
+        dt=dt,
         times=times,
     )
 
@@ -165,16 +166,21 @@ def sdc_sweep(sol, rule, sys, *, sweep_index=None):
 def residual(sol, rule):
     """Collocation residual at every node for the current iterate.
 
-    R_m = phi_n + dt * sum_j q[m, j] * node_rhs[j] - node_states[m].
-    Row 0 is identically zero.
+    R_m = phi_n + dt * sum_j q[m, j] * node_rhs[j] - node_states[m], formed
+    in one buffer as ``(q @ node_rhs) * dt + phi_n - node_states``.  Row 0
+    is identically zero.
     """
-    phi_n = sol.node_states[0]
-    return phi_n[None, :] + sol.dt * (rule.q_matrix @ sol.node_rhs) - sol.node_states
+    r = rule.q_matrix @ sol.node_rhs
+    r *= sol.dt
+    r += sol.node_states[0]
+    r -= sol.node_states
+    return r
 
 
 def residual_max_norm(sol, rule):
     """Max-norm of the collocation residual over all nodes and components."""
-    return float(np.max(np.abs(residual(sol, rule))))
+    r = residual(sol, rule)
+    return float(np.abs(r, out=r).max())
 
 
 def _check_states(sol, state_check, sweep_index, *, first_node=0):

@@ -19,6 +19,7 @@ from resilient_sdc.faults import (
     scale_fault,
     write_event_log,
 )
+from resilient_sdc.problems import KERNEL_IDS
 
 # ---------------------------------------------------------------------------
 # bit_flip
@@ -190,6 +191,62 @@ def test_maybe_inject_counter_walks_windows():
         maybe_inject(np.ones(3), "assembly", state, cfg, call_index=call)
     assert state.window_index == 2
     assert state.counter == 1
+
+
+def _stream_states(streams):
+    return [(s.counter, s.window_index, s.fault_call) for s in streams]
+
+
+def _event_records(events):
+    return [json.dumps(event.to_record(), sort_keys=True) for event in events]
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 96])
+@pytest.mark.parametrize("streams", [1, 3])
+@pytest.mark.parametrize("mode", ["off", "type_a", "type_b"])
+@pytest.mark.parametrize("targeted", [False, True])
+def test_filter_matches_a_maybe_inject_loop_call_by_call(window, streams, mode, targeted):
+    """The injector skips ``maybe_inject`` on calls that neither fire nor
+    end a window; the events, arrays and window state stay those of calling
+    it on every call."""
+    targets = {}
+    if targeted:
+        targets = {"targeted_kernel": "reaction_rate", "targeted_bit": 60, "targeted_offset": 3}
+    cfg = FaultConfig(mode=mode, window=window, seed=17, streams=streams, **targets)
+    hook = FaultInjector(cfg, run_id=4)
+    reference = [InjectionState.start(cfg, run_id=4, stream_id=s) for s in range(streams)]
+    reference_events = []
+    rng = np.random.default_rng(window * 10 + streams)
+    for call in range(max(5 * window, 30) + 7):
+        kernel = KERNEL_IDS[call % len(KERNEL_IDS)]
+        hook.begin_step(call // 20, 0.5 * call)
+        hook.begin_sweep(call % 5)
+        hook.begin_node(call % 3)
+        values = rng.standard_normal(8)
+        array, reference_array = values.copy(), values.copy()
+        hook.filter(kernel, array)
+        for stream in reference:
+            event = maybe_inject(
+                reference_array,
+                kernel,
+                stream,
+                cfg,
+                call_index=call,
+                sim_time=hook.sim_time,
+                position=hook.position(),
+            )
+            if event is not None:
+                reference_events.append(event)
+        assert array.tobytes() == reference_array.tobytes()
+        assert _stream_states(hook.streams) == _stream_states(reference)
+        assert _event_records(hook.events) == _event_records(reference_events)
+    assert hook.streams[0].window_index >= 5
+    if mode == "off":
+        assert not hook.events
+    elif not targeted:
+        # one event per stream per window, the current window's if it fired
+        completed = hook.streams[0].window_index
+        assert streams * completed <= len(hook.events) <= streams * (completed + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -273,6 +274,21 @@ def test_disarmed_hook_does_not_change_the_rhs():
         surrogate_rhs(state, 0.0, cfg, hook=KernelHook()),
         surrogate_rhs_monolithic(state, 0.0, cfg),
     )
+
+
+def test_corrupted_evaluation_raises_no_floating_point_warning():
+    """A state corrupted far out of range overflows in the stencil and the
+    chemistry alike; the whole evaluation runs with those warnings off, and
+    the caller's error settings are left as they were."""
+    cfg = IgnitionSurrogate()
+    state = cfg.initial_state()
+    state[5] = 1.0e306
+    settings = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = surrogate_rhs(state, 0.0, cfg, hook=KernelHook())
+    assert not np.isfinite(out).all()
+    assert np.geterr() == settings
 
 
 def test_kernels_run_once_per_evaluation_in_declared_order():

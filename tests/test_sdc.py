@@ -12,9 +12,12 @@ from resilient_sdc.problems import KERNEL_IDS, IgnitionSurrogate, LinearProblem
 from resilient_sdc.quadrature import lobatto_rule
 from resilient_sdc.resilience import realizability_guard
 from resilient_sdc.sdc import (
+    NodeSolution,
+    ODESystem,
     integrate,
     integrate_step,
     predictor,
+    residual,
     residual_max_norm,
     sdc_sweep,
     step_times,
@@ -221,3 +224,181 @@ def test_unrealizable_start_aborts_at_the_predictor_node_zero():
     assert str(error) == "temperature above 2750.0 at component 0 (step 0, sweep 1, node 0)"
     # the predictor evaluates every node before its states are checked
     assert hook.call_count == 3 * len(KERNEL_IDS)
+
+
+# ---------------------------------------------------------------------------
+# the in-place sweep arithmetic against the expressions it replaced
+
+
+def _reference_predictor(phi_n, rule, sys, t_start, dt):
+    phi_n = np.asarray(phi_n, dtype=float)
+    num_nodes = rule.num_nodes
+    times = t_start + dt * rule.nodes
+    if sys.hook is not None:
+        sys.hook.begin_sweep(1)
+
+    def evaluate(state, m):
+        if sys.hook is not None:
+            sys.hook.begin_node(m)
+        f = sys.rhs(state, times[m])
+        if not np.isfinite(f).all():
+            raise NonRealizableStateError("non-finite rhs evaluation", node_index=m, sweep_index=1)
+        return f
+
+    states = np.empty((num_nodes, phi_n.size))
+    rhs_vals = np.empty_like(states)
+    states[0] = phi_n
+    if not np.isfinite(states[0]).all():
+        raise NonRealizableStateError("non-finite state", node_index=0, sweep_index=1)
+    rhs_vals[0] = evaluate(states[0], 0)
+    for m in range(num_nodes - 1):
+        states[m + 1] = states[m] + (times[m + 1] - times[m]) * rhs_vals[m]
+        if not np.isfinite(states[m + 1]).all():
+            raise NonRealizableStateError("non-finite state", node_index=m + 1, sweep_index=1)
+        rhs_vals[m + 1] = evaluate(states[m + 1], m + 1)
+    return NodeSolution(states, rhs_vals, t_start, dt, times)
+
+
+def _reference_sweep(sol, rule, sys, *, sweep_index=None):
+    if sys.hook is not None and sweep_index is not None:
+        sys.hook.begin_sweep(sweep_index)
+    times = sol.times
+    new_states = sol.node_states.copy()
+    new_rhs = sol.node_rhs.copy()
+    for m in range(rule.num_nodes - 1):
+        integral = sol.dt * (rule.s_matrix[m] @ sol.node_rhs)
+        euler_diff = (times[m + 1] - times[m]) * (new_rhs[m] - sol.node_rhs[m])
+        new_states[m + 1] = new_states[m] + euler_diff + integral
+        if not np.isfinite(new_states[m + 1]).all():
+            raise NonRealizableStateError(
+                "non-finite state", node_index=m + 1, sweep_index=sweep_index
+            )
+        if sys.hook is not None:
+            sys.hook.begin_node(m + 1)
+        f = sys.rhs(new_states[m + 1], times[m + 1])
+        if not np.isfinite(f).all():
+            raise NonRealizableStateError(
+                "non-finite rhs evaluation", node_index=m + 1, sweep_index=sweep_index
+            )
+        new_rhs[m + 1] = f
+    return NodeSolution(new_states, new_rhs, sol.t_start, sol.dt, times)
+
+
+def _reference_residual(sol, rule):
+    phi_n = sol.node_states[0]
+    return phi_n[None, :] + sol.dt * (rule.q_matrix @ sol.node_rhs) - sol.node_states
+
+
+def _solution_bytes(sol):
+    return (sol.node_states.tobytes(), sol.node_rhs.tobytes(), sol.times.tobytes(), sol.dt)
+
+
+def _signed_zero_system():
+    """A small system whose rhs and states keep both signs of zero."""
+    phi0 = np.array([0.0, -0.0, 1.5, -2.5, -0.0])
+    return ODESystem(dimension=phi0.size, rhs=lambda y, t: -y * (1.0 + t)), phi0
+
+
+def _bitwise_cases():
+    linear = LinearProblem(s=-0.7, y0=1.3)
+    yield "linear", linear.system(), linear.initial_state(), 0.3
+    negative_zero = LinearProblem(y0=-0.0)
+    yield "linear -0.0", negative_zero.system(), negative_zero.initial_state(), 0.3
+    yield ("signed zeros", *_signed_zero_system(), 0.4)
+    prob = IgnitionSurrogate()
+    dt = prob.default_dt()
+    hot_spot = prob.initial_state()
+    yield "hot spot", prob.system(KernelHook()), hot_spot, dt
+    yield "hot spot x 1e150", prob.system(), hot_spot * 1.0e150, dt
+    yield "hot spot x 1e-150", prob.system(), hot_spot * 1.0e-150, dt
+    fuel_zeros = hot_spot.copy()
+    fuel_zeros[prob.n_grid :: 7] = -0.0
+    fuel_zeros[prob.n_grid + 3 :: 7] = 0.0
+    yield "hot spot, fuel with +-0.0", prob.system(), fuel_zeros, dt
+
+
+@pytest.mark.parametrize("num_nodes", [2, 3, 4, 5, 6])
+def test_in_place_sweeps_and_residuals_are_bitwise_equal_to_the_reference(num_nodes):
+    rule = lobatto_rule(num_nodes)
+    for label, sys_, phi0, dt in _bitwise_cases():
+        sol = predictor(phi0, rule, sys_, 0.25, dt)
+        ref = _reference_predictor(phi0, rule, sys_, 0.25, dt)
+        for sweep in range(1, 6):
+            if sweep > 1:
+                before = _solution_bytes(sol)
+                new = sdc_sweep(sol, rule, sys_, sweep_index=sweep)
+                # a sweep returns a fresh iterate and leaves its input alone
+                assert _solution_bytes(sol) == before
+                assert not np.shares_memory(new.node_states, sol.node_states)
+                assert not np.shares_memory(new.node_rhs, sol.node_rhs)
+                sol = new
+                ref = _reference_sweep(ref, rule, sys_, sweep_index=sweep)
+            assert _solution_bytes(sol) == _solution_bytes(ref), (label, sweep)
+            expected = _reference_residual(ref, rule)
+            assert residual(sol, rule).tobytes() == expected.tobytes(), (label, sweep)
+            norm = residual_max_norm(sol, rule)
+            assert float.hex(norm) == float.hex(float(np.max(np.abs(expected)))), (label, sweep)
+
+
+def _planted_system(plant, value):
+    """rhs -1e-12 * y, except at the (sweep, node) ``plant``, where every
+    component is ``value``: inf or NaN fails the rhs check there, and 1e300
+    times a width of dt = 1e10 overflows the next state formed from it."""
+    hook = KernelHook()
+    hook.evaluated = []
+
+    def rhs(y, t):
+        hook.evaluated.append((hook.sweep_index, hook.node_index))
+        if (hook.sweep_index, hook.node_index) == plant:
+            return np.full_like(y, value)
+        return y * -1.0e-12
+
+    return ODESystem(dimension=3, rhs=rhs, hook=hook)
+
+
+def _run_sweeps(start, sweep, phi0, rule, sys_, sweeps):
+    """Predictor plus sweeps: the error raised, else the last iterate's
+    bytes, then the (sweep, node) of every rhs evaluation made."""
+    sys_.hook.evaluated.clear()
+    try:
+        sol = start(phi0, rule, sys_, 0.0, 1.0e10)
+        for index in range(2, sweeps + 1):
+            sol = sweep(sol, rule, sys_, sweep_index=index)
+    except NonRealizableStateError as exc:
+        outcome = ("raised", str(exc), exc.node_index, exc.sweep_index)
+    else:
+        outcome = ("completed", _solution_bytes(sol))
+    return outcome + (tuple(sys_.hook.evaluated),)
+
+
+@pytest.mark.parametrize("num_nodes", [2, 3, 4, 5, 6])
+def test_non_finite_values_raise_where_the_reference_raises(num_nodes):
+    rule = lobatto_rule(num_nodes)
+    phi0 = np.array([1.0, -0.0, 2.0])
+    sweeps = 4
+    cases = [
+        (sweep, node, value)
+        for sweep in range(1, sweeps + 1)
+        for node in range(num_nodes)
+        for value in (np.inf, np.nan, 1.0e300)
+    ]
+    for sweep, node, value in cases:
+        sys_ = _planted_system((sweep, node), value)
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcome = _run_sweeps(predictor, sdc_sweep, phi0, rule, sys_, sweeps)
+            reference = _run_sweeps(
+                _reference_predictor, _reference_sweep, phi0, rule, sys_, sweeps
+            )
+        assert outcome == reference, (sweep, node, value)
+        if not np.isfinite(value) and (sweep == 1 or node > 0):
+            expected = f"non-finite rhs evaluation (sweep {sweep}, node {node})"
+            assert outcome[:4] == ("raised", expected, node, sweep)
+    # a non-finite start state fails at node 0 of the predictor
+    bad_start = phi0.copy()
+    bad_start[1] = np.nan
+    sys_ = _planted_system(None, 0.0)
+    outcome = _run_sweeps(predictor, sdc_sweep, bad_start, rule, sys_, sweeps)
+    assert outcome == ("raised", "non-finite state (sweep 1, node 0)", 0, 1, ())
+    assert outcome == _run_sweeps(
+        _reference_predictor, _reference_sweep, bad_start, rule, sys_, sweeps
+    )
