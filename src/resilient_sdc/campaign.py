@@ -8,7 +8,6 @@ import json
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace, asdict
 from typing import Optional
 
@@ -226,7 +225,7 @@ def run_single(cfg):
             error_history.append((step, sweep, err))
 
     trajectory, traces = [], []
-    status, error, aborted_at = "clean", None, None
+    status, error, aborted = "clean", None, None
     try:
         if cfg.integrator == "rk":
             trajectory = rk_integrate(
@@ -249,7 +248,8 @@ def run_single(cfg):
                 phi0, cfg.t_start, t_end, dt, rule, sys, cfg.controller
             )
     except (NonRealizableStateError, UnrecoverableStepError) as exc:
-        status, error, aborted_at = "aborted", str(exc), exc.step_index
+        # An aborted run keeps the traces of the steps it completed.
+        status, error, aborted, traces = "aborted", str(exc), exc, exc.traces
 
     if status != "aborted" and cfg.integrator == "sdc_resilient":
         if any(_trace_capped(trace, cfg.controller) for trace in traces):
@@ -260,8 +260,11 @@ def run_single(cfg):
         one_shot_fired = hook.warn_if_unfired()
 
     metrics = _collect_metrics(cfg, trajectory, traces, hook, status, dt)
-    if aborted_at is not None:
-        metrics["steps"] = aborted_at
+    if aborted is not None:
+        metrics["steps"] = aborted.step_index
+        if isinstance(aborted, UnrecoverableStepError):
+            # The restarts of the step that failed are in no trace.
+            metrics["restarts"] += aborted.restarts
     report = RunReport(
         config=cfg,
         status=status,
@@ -316,45 +319,50 @@ def _write_run_artifacts(report):
         unfired_warning=report.one_shot_fired is False,
     )
 
-    with open(os.path.join(out, "residuals.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "sweep", "residual_maxnorm"])
-        for step, trace in enumerate(report.traces):
-            for sweep, norm in enumerate(trace.residual_maxnorms, start=1):
-                writer.writerow([step, sweep, repr(norm)])
+    residual_rows = [
+        f"{step},{sweep},{norm!r}\r\n"
+        for step, trace in enumerate(report.traces)
+        for sweep, norm in enumerate(trace.residual_maxnorms, start=1)
+    ]
+    _write_csv(os.path.join(out, "residuals.csv"), "step,sweep,residual_maxnorm", residual_rows)
 
-    with open(os.path.join(out, "trajectory.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
+    trajectory = report.trajectory
+    last = len(trajectory) - 1
+    sampled = [
+        pair for i, pair in enumerate(trajectory) if i % cfg.output_every == 0 or i == last
+    ]
+    trajectory_rows = []
+    if sampled:
+        states = np.array([state for _, state in sampled])
         if cfg.problem == "ignition":
-            writer.writerow(["time", "peak_T"])
-            n = cfg.surrogate.n_grid
-            for i, (t, state) in enumerate(report.trajectory):
-                if i % cfg.output_every == 0 or i == len(report.trajectory) - 1:
-                    writer.writerow([repr(float(t)), repr(float(np.max(state[:n])))])
+            values = states[:, : cfg.surrogate.n_grid].max(axis=1)
         else:
-            writer.writerow(["time", "y"])
-            for i, (t, state) in enumerate(report.trajectory):
-                if i % cfg.output_every == 0 or i == len(report.trajectory) - 1:
-                    writer.writerow([repr(float(t)), repr(float(state[0]))])
+            values = states[:, 0]
+        trajectory_rows = [
+            f"{t!r},{value!r}\r\n" for (t, _), value in zip(sampled, values.tolist())
+        ]
+    header = "time,peak_T" if cfg.problem == "ignition" else "time,y"
+    _write_csv(os.path.join(out, "trajectory.csv"), header, trajectory_rows)
 
-    if cfg.problem == "ignition" and report.trajectory:
-        write_snapshot_csv(
-            os.path.join(out, "state_initial.csv"), cfg.surrogate, report.trajectory[0][1]
-        )
-        write_snapshot_csv(
-            os.path.join(out, "state_final.csv"), cfg.surrogate, report.trajectory[-1][1]
-        )
+    if cfg.problem == "ignition" and trajectory:
+        write_snapshot_csv(os.path.join(out, "state_initial.csv"), cfg.surrogate, trajectory[0][1])
+        write_snapshot_csv(os.path.join(out, "state_final.csv"), cfg.surrogate, trajectory[-1][1])
 
     if report.error_history:
-        with open(os.path.join(out, "error_history.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "sweep", "abs_error"])
-            for step, sweep, err in report.error_history:
-                writer.writerow([step, sweep, repr(err)])
+        error_rows = [f"{step},{sweep},{err!r}\r\n" for step, sweep, err in report.error_history]
+        _write_csv(os.path.join(out, "error_history.csv"), "step,sweep,abs_error", error_rows)
 
     with open(os.path.join(out, "metrics.json"), "w") as fh:
         json.dump(report.metrics, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_csv(path, header, rows):
+    """Write a header and rows already formatted with their CRLF line ends,
+    in one write: the bytes a ``csv.writer`` (excel dialect) writes for
+    unquoted fields."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\r\n" + "".join(rows))
 
 
 def _campaign_member_config(cfg, run_index, base_seed):
@@ -394,6 +402,10 @@ def run_campaign(cfg, n_runs, base_seed, *, workers=1):
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     jobs = [(cfg, i, base_seed) for i in range(n_runs)]
     if workers > 1:
+        # Imported here: concurrent.futures pulls in multiprocessing, which a
+        # serial campaign never needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_campaign_worker, jobs, chunksize=1))
     else:

@@ -10,8 +10,9 @@ class NonRealizableStateError(RuntimeError):
     realizability-guard violations (for example a temperature outside the
     configured bounds).  Carries enough position information to attribute
     the failure to a node and sweep; the integrators attach the step index
-    while the error propagates, and the message is built from the fields
-    when it is read, so it names the step too.
+    and, for SDC, the ``SweepTrace`` list of the steps completed before it
+    (``traces``) while the error propagates.  The message is built from the
+    fields when it is read, so it names the step too.
     """
 
     def __init__(self, detail, *, node_index=None, sweep_index=None, step_index=None):
@@ -20,6 +21,7 @@ class NonRealizableStateError(RuntimeError):
         self.node_index = node_index
         self.sweep_index = sweep_index
         self.step_index = step_index
+        self.traces = []
 
     def __str__(self):
         where = []
@@ -36,8 +38,10 @@ class NonRealizableStateError(RuntimeError):
 class UnrecoverableStepError(RuntimeError):
     """A timestep could not be completed within the restart budget.
 
-    The message is built from the fields when it is read, so it names the
-    step index that the integrator attaches while the error propagates.
+    ``restarts`` counts the restarts of the failing step.  The integrator
+    attaches the step index and the ``SweepTrace`` list of the steps
+    completed before it (``traces``) while the error propagates; the message
+    is built from the fields when it is read, so it names the step index.
     """
 
     def __init__(self, detail, *, step_index=None, restarts=None):
@@ -45,6 +49,7 @@ class UnrecoverableStepError(RuntimeError):
         self.detail = detail
         self.step_index = step_index
         self.restarts = restarts
+        self.traces = []
 
     def __str__(self):
         where = f" at step {self.step_index}" if self.step_index is not None else ""

@@ -10,7 +10,6 @@ kernelized structure of a production reacting-flow code.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -309,7 +308,7 @@ def ignition_metrics(trajectory):
         raise ValueError("trajectory is empty")
     n = trajectory[0][1].size // 2
     times = np.array([t for t, _ in trajectory])
-    peaks = np.array([float(np.max(state[:n])) for _, state in trajectory])
+    peaks = np.array([state for _, state in trajectory])[:, :n].max(axis=1)
 
     final_peak = float(peaks[-1])
     threshold = 0.5 * (peaks[0] + final_peak)
@@ -323,11 +322,15 @@ def ignition_metrics(trajectory):
 
 
 def write_snapshot_csv(path, cfg, state):
-    """Write one surrogate state as CSV with columns x, T, Y."""
+    """Write one surrogate state as CSV with columns x, T, Y.
+
+    The bytes are those of a ``csv.writer`` in the excel dialect: the header
+    ``x,T,Y``, then one row per grid point holding the ``repr`` of each
+    value, separated by commas, every line ending in CRLF.  No field needs
+    quoting, as a float's ``repr`` holds no comma, quote or line break.
+    """
     n = cfg.n_grid
-    x = cfg.grid()
+    values = np.asarray(state, dtype=float)
+    rows = zip(cfg.grid().tolist(), values[:n].tolist(), values[n:].tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "T", "Y"])
-        for i in range(n):
-            writer.writerow([repr(float(x[i])), repr(float(state[i])), repr(float(state[n + i]))])
+        fh.write("x,T,Y\r\n" + "".join(f"{x!r},{t!r},{y!r}\r\n" for x, t, y in rows))

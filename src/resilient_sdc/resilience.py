@@ -175,8 +175,8 @@ def integrate_resilient(phi_0, t0, t_end, dt, rule, sys, cfg):
     """Checkpointed fixed-step integration over [t0, t_end].
 
     Returns (trajectory, traces) like the plain integrator; aborts with
-    UnrecoverableStepError (step index attached) when a step exhausts its
-    restart budget.
+    UnrecoverableStepError (step index and completed steps' traces attached)
+    when a step exhausts its restart budget.
     """
     phi = np.asarray(phi_0, dtype=float).copy()
     boundaries = step_times(t0, t_end, dt)
@@ -192,7 +192,7 @@ def integrate_resilient(phi_0, t0, t_end, dt, rule, sys, cfg):
         try:
             phi, trace = checkpointed_step(checkpoint, h, rule, sys, cfg)
         except UnrecoverableStepError as exc:
-            exc.step_index = k
+            exc.step_index, exc.traces = k, traces
             raise
         traces.append(trace)
         trajectory.append((float(boundaries[k + 1]), phi.copy()))

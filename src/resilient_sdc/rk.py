@@ -7,6 +7,7 @@ which is exactly its silent-corruption vulnerability.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +20,14 @@ __all__ = ["ButcherTableau", "classical_rk4", "rk_step", "rk_integrate"]
 _TABLEAU_TOL = 1e-14
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ButcherTableau:
-    """Coefficients of an explicit Runge-Kutta method."""
+    """Coefficients of an explicit Runge-Kutta method.
+
+    ``classical_rk4`` builds its tableau once per process and hands the same
+    instance to every caller, so instances are frozen and that tableau's
+    arrays are read-only.
+    """
 
     a: np.ndarray
     b: np.ndarray
@@ -48,8 +54,10 @@ class ButcherTableau:
         return self
 
 
+@functools.cache
 def classical_rk4():
-    """The classical fourth-order method."""
+    """The classical fourth-order method, built and validated on the first
+    call and cached; its arrays are read-only."""
     a = np.array(
         [
             [0.0, 0.0, 0.0, 0.0],
@@ -60,6 +68,8 @@ def classical_rk4():
     )
     b = np.array([1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0])
     c = np.array([0.0, 0.5, 0.5, 1.0])
+    for array in (a, b, c):
+        array.flags.writeable = False
     return ButcherTableau(a=a, b=b, c=c).validate()
 
 

@@ -265,7 +265,7 @@ def step_times(t0, t_end, dt):
     if span == 0.0:
         return np.array([t0])
     n_whole = int(round(span / dt))
-    if n_whole < 1 or not np.isclose(n_whole * dt, span, rtol=1e-9, atol=0.0):
+    if n_whole < 1 or not abs(n_whole * dt - span) <= 1e-9 * abs(span):
         n_whole = int(np.floor(span / dt))
     boundaries = t0 + dt * np.arange(n_whole + 1)
     if t_end - boundaries[-1] > 1e-12 * max(abs(t_end), dt):
@@ -282,9 +282,9 @@ def integrate(
 
     Returns (trajectory, traces) where trajectory is a list of
     (time, state) pairs including the initial condition.  Realizability
-    failures propagate with the step index attached.  ``sweep_observer``,
-    when given, is called as (step_index, sweep_index, NodeSolution) after
-    every sweep.
+    failures propagate with the step index and the completed steps' traces
+    attached.  ``sweep_observer``, when given, is called as (step_index,
+    sweep_index, NodeSolution) after every sweep.
     """
     phi = np.asarray(phi_0, dtype=float).copy()
     boundaries = step_times(t0, t_end, dt)
@@ -311,7 +311,7 @@ def integrate(
                 sweep_observer=observer,
             )
         except NonRealizableStateError as exc:
-            exc.step_index = k
+            exc.step_index, exc.traces = k, traces
             raise
         traces.append(trace)
         trajectory.append((float(boundaries[k + 1]), phi.copy()))

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -137,6 +138,28 @@ def test_resilient_recovers_from_the_same_one_shot():
     assert report.status != "aborted"
     assert report.metrics["restarts"] >= 1
     assert report.metrics["final_peak_T"] == clean.metrics["final_peak_T"]
+
+
+def test_aborted_resilient_run_keeps_its_traces_and_restarts(tmp_path):
+    """Member 0 of a type-B campaign (base seed 707, window 96, 20 steps)
+    completes 8 steps in 64 sweeps, then fails step 8 after 3 restarts."""
+    fault = FaultConfig(mode="type_b", window=96, seed=707)
+    cfg = _ignition_cfg(t_end=20 * _DT, fault=fault, output_dir=str(tmp_path / "run"))
+    report = run_single(cfg)
+    assert report.status == "aborted"
+    assert "at step 8 after 3 restarts" in report.error
+    assert len(report.traces) == 8
+    assert report.metrics["steps"] == 8
+    assert report.metrics["restarts"] == 3
+    assert report.metrics["total_sweeps"] == 64
+    with open(tmp_path / "run" / "residuals.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) - 1 == 64 and rows[-1][:2] == ["7", "8"]
+
+    run_campaign(replace(cfg, output_dir=str(tmp_path / "campaign")), 1, base_seed=707)
+    with open(tmp_path / "campaign" / "runs.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["status"], row["restarts"], row["total_sweeps"]) == ("aborted", "3", "64")
 
 
 # ---------------------------------------------------------------------------

@@ -24,3 +24,18 @@ def test_fingerprint_repeats_within_one_process():
     assert len(first) == 64
     assert tool.fingerprint(runs) == first
     assert tool.fingerprint(runs[:1]) != first
+
+
+def test_fingerprint_covers_artifact_files():
+    tool = _load_tool()
+    (thunk,) = [thunk for label, thunk in tool.run_set() if label == "linear sdc_fixed"]
+    parts = list(thunk())
+    heads = {
+        "error_history.csv": b"step,sweep,abs_error\r\n",
+        "events.jsonl": b"",
+        "metrics.json": b"{",
+        "residuals.csv": b"step,sweep,residual_maxnorm\r\n",
+        "trajectory.csv": b"time,y\r\n",
+    }
+    for name, head in heads.items():
+        assert parts[parts.index(name.encode()) + 1].startswith(head)

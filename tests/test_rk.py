@@ -20,6 +20,17 @@ def test_classical_tableau_coefficients():
     assert np.all(np.triu(tab.a) == 0.0)
 
 
+def test_classical_tableau_is_cached_and_read_only():
+    tab = classical_rk4()
+    assert classical_rk4() is tab
+    for array in (tab.a, tab.b, tab.c):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    with pytest.raises(AttributeError):
+        tab.b = np.zeros(4)
+    np.testing.assert_array_equal(tab.b, [1 / 6, 1 / 3, 1 / 3, 1 / 6])
+
+
 def test_tableau_validation_rejects_bad_coefficients():
     good = classical_rk4()
     with pytest.raises(ValueError):

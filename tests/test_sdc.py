@@ -1,6 +1,7 @@
 """Core sweep mechanics on the scalar linear problem, and the per-node
 realizability checks on the ignition surrogate."""
 
+import itertools
 import math
 
 import numpy as np
@@ -42,6 +43,38 @@ def test_step_times_truncated_final_step():
 
 def test_step_times_oversized_dt_gives_single_step():
     np.testing.assert_allclose(step_times(0.0, 0.1, 1.0), [0.0, 0.1])
+
+
+def _reference_step_times(t0, t_end, dt):
+    """``step_times`` with its whole-step test written with ``np.isclose``."""
+    span = t_end - t0
+    if span == 0.0:
+        return np.array([t0])
+    n_whole = int(round(span / dt))
+    if n_whole < 1 or not np.isclose(n_whole * dt, span, rtol=1e-9, atol=0.0):
+        n_whole = int(np.floor(span / dt))
+    boundaries = t0 + dt * np.arange(n_whole + 1)
+    if t_end - boundaries[-1] > 1e-12 * max(abs(t_end), dt):
+        boundaries = np.append(boundaries, t_end)
+    else:
+        boundaries[-1] = t_end
+    return boundaries
+
+
+def test_step_times_matches_the_isclose_reference():
+    """Whole multiples, spans within and just outside 1e-9 relative of a
+    multiple on both sides, truncated final steps, t0 != 0, and dt larger
+    than the span."""
+    grid = itertools.product(
+        (0.0, 0.3, -1.7, 1.0e3),  # t0
+        (0.1, 0.25, 1.0 / 3.0, 7.0e-6),  # dt
+        (0.4, 1, 2, 7, 100),  # whole steps in the span
+        (0.0, 4e-10, -4e-10, 9.99e-10, -9.99e-10, 1.001e-9, -1.001e-9, 3e-9, -3e-9, 0.37),
+    )
+    for t0, dt, steps, offset in grid:
+        for t_end in (t0 + steps * dt * (1.0 + offset), t0 + (steps + offset) * dt):
+            want = _reference_step_times(t0, t_end, dt)
+            assert step_times(t0, t_end, dt).tobytes() == want.tobytes(), (t0, t_end, dt)
 
 
 def test_step_times_degenerate_and_invalid():

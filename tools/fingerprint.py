@@ -7,16 +7,21 @@ The package is imported from this checkout's ``src/``, so running the script
 in two checkouts and comparing the printed digests compares the two trees.
 The run set covers the three integrators fault-free, type-B campaign members
 of two base seeds, type-A resilient members, one scheduled one-shot fault per
-kernel id, and the linear convergence study.  The digest covers every
-trajectory (times and state bytes), residual history, sweep and restart
-count, status, error string, fault-event record and metric; floats enter as
-their exact hex form.  A run takes a few seconds.
+kernel id, a fixed-sweep run of the linear problem, and the linear
+convergence study.  The digest covers every trajectory (times and state
+bytes), residual history, sweep and restart count, status, error string,
+fault-event record and metric; floats enter as their exact hex form.  The
+three fault-free runs, one type-B resilient member and the linear run also
+write their artifacts into a temporary directory, and the digest covers
+each file's name and bytes.  No SDC run of the set aborts.  A run takes a
+few seconds.
 """
 
 import hashlib
 import json
 import os
 import sys
+import tempfile
 import time
 from dataclasses import replace
 
@@ -34,6 +39,7 @@ TYPE_B_SEEDS = (101, 4242)
 TYPE_B_MEMBERS = 12
 TYPE_A_SEED = 7
 TYPE_A_MEMBERS = 6
+ARTIFACT_MEMBER = (TYPE_B_SEEDS[0], "sdc_resilient", 0)  # (seed, integrator, member)
 
 
 def _canonical(value):
@@ -66,6 +72,24 @@ def _report_parts(report):
         yield state.tobytes()
 
 
+def _artifact_parts(directory):
+    """The name and bytes of every file in ``directory``, in name order."""
+    for name in sorted(os.listdir(directory)):
+        yield name.encode()
+        with open(os.path.join(directory, name), "rb") as fh:
+            yield fh.read()
+
+
+def _run_parts(cfg, artifacts):
+    """Byte strings of one run, its artifact files included if asked."""
+    if not artifacts:
+        yield from _report_parts(run_single(cfg))
+        return
+    with tempfile.TemporaryDirectory() as out:
+        yield from _report_parts(run_single(replace(cfg, output_dir=out)))
+        yield from _artifact_parts(out)
+
+
 def _convergence_parts(rows):
     yield json.dumps(_canonical(rows), sort_keys=True).encode()
 
@@ -75,12 +99,12 @@ def run_set():
     dt = IgnitionSurrogate().default_dt()
     runs = []
 
-    def add(label, cfg):
-        runs.append((label, lambda: _report_parts(run_single(cfg))))
+    def add(label, cfg, artifacts=False):
+        runs.append((label, lambda: _run_parts(cfg, artifacts)))
 
     for integrator in ("rk", "sdc_fixed", "sdc_resilient"):
         cfg = RunConfig(integrator=integrator, t_end=FAULT_FREE_STEPS * dt)
-        add(f"fault-free {integrator}", cfg)
+        add(f"fault-free {integrator}", cfg, artifacts=True)
 
     member = RunConfig(t_end=MEMBER_STEPS * dt)
     for seed in TYPE_B_SEEDS:
@@ -90,6 +114,7 @@ def run_set():
                 add(
                     f"type_b seed {seed} {integrator} member {i}",
                     replace(member, integrator=integrator, fault=fault, run_id=i),
+                    artifacts=(seed, integrator, i) == ARTIFACT_MEMBER,
                 )
     fault = FaultConfig(mode="type_a", window=MEMBER_WINDOW, seed=TYPE_A_SEED)
     for i in range(TYPE_A_MEMBERS):
@@ -100,6 +125,8 @@ def run_set():
             step_index=5, sweep_index=2, node_index=1, kernel_id=kernel, offset="max_T"
         )
         add(f"one-shot {kernel}", replace(member, one_shot=spec))
+
+    add("linear sdc_fixed", RunConfig(problem="linear", integrator="sdc_fixed"), artifacts=True)
 
     runs.append(
         (
