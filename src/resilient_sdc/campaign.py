@@ -3,9 +3,7 @@ sensitivity sweeps, and timestep convergence studies."""
 
 from __future__ import annotations
 
-import csv
 import json
-import logging
 import math
 import os
 from dataclasses import dataclass, field, replace, asdict
@@ -45,8 +43,6 @@ __all__ = [
     "convergence_study",
     "DEFAULT_IGNITION_T_END",
 ]
-
-logger = logging.getLogger(__name__)
 
 _PROBLEMS = ("linear", "ignition")
 _INTEGRATORS = ("rk", "sdc_fixed", "sdc_resilient")
@@ -428,23 +424,16 @@ def _write_campaign_artifacts(cfg, base_seed, rows, summary):
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
 
-    with open(os.path.join(out, "runs.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["run_id", "base_seed", "scalar", "status", "restarts", "fault_events", "total_sweeps"]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row["run_id"],
-                    base_seed,
-                    repr(float(row["scalar"])),
-                    row["status"],
-                    row["restarts"],
-                    row["fault_events"],
-                    row["total_sweeps"],
-                ]
-            )
+    run_rows = [
+        f"{row['run_id']},{base_seed},{float(row['scalar'])!r},{row['status']},"
+        f"{row['restarts']},{row['fault_events']},{row['total_sweeps']}\r\n"
+        for row in rows
+    ]
+    _write_csv(
+        os.path.join(out, "runs.csv"),
+        "run_id,base_seed,scalar,status,restarts,fault_events,total_sweeps",
+        run_rows,
+    )
 
     record = asdict(summary)
     record["base_seed"] = base_seed
@@ -454,13 +443,15 @@ def _write_campaign_artifacts(cfg, base_seed, rows, summary):
         fh.write("\n")
 
     finite = [s for s in summary.scalars if math.isfinite(s)]
-    with open(os.path.join(out, "histogram.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_left", "bin_right", "count"])
-        if finite:
-            counts, edges = np.histogram(finite, bins=min(20, max(5, len(finite) // 10)))
-            for i, count in enumerate(counts):
-                writer.writerow([repr(float(edges[i])), repr(float(edges[i + 1])), int(count)])
+    histogram_rows = []
+    if finite:
+        counts, edges = np.histogram(finite, bins=min(20, max(5, len(finite) // 10)))
+        edges = edges.tolist()
+        histogram_rows = [
+            f"{left!r},{right!r},{count}\r\n"
+            for left, right, count in zip(edges, edges[1:], counts.tolist())
+        ]
+    _write_csv(os.path.join(out, "histogram.csv"), "bin_left,bin_right,count", histogram_rows)
 
 
 def sensitivity_sweep(cfg, kernels=None, *, step_index=None):

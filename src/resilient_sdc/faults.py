@@ -16,8 +16,6 @@ reproducible and windows are independent.
 
 from __future__ import annotations
 
-import json
-import logging
 from dataclasses import dataclass, asdict
 from typing import Optional, Union
 
@@ -34,11 +32,8 @@ __all__ = [
     "bit_flip",
     "scale_fault",
     "maybe_inject",
-    "one_shot_perturbation",
     "write_event_log",
 ]
-
-logger = logging.getLogger(__name__)
 
 _MODES = ("off", "type_a", "type_b")
 
@@ -355,7 +350,10 @@ class OneShotPerturbation(KernelHook):
     def warn_if_unfired(self):
         """Log when the schedule was never reached; returns True if it fired."""
         if not self.fired:
-            logger.warning(
+            # Imported here: only an unfired one-shot schedule ever logs.
+            import logging
+
+            logging.getLogger(__name__).warning(
                 "one-shot fault never fired: step %d sweep %d node %d kernel %s",
                 self.spec.step_index,
                 self.spec.sweep_index,
@@ -365,17 +363,15 @@ class OneShotPerturbation(KernelHook):
         return self.fired
 
 
-def one_shot_perturbation(spec, run_id=0):
-    """Arm a hook that fires once at the scheduled (step, sweep, node, kernel)."""
-    return OneShotPerturbation(spec, run_id=run_id)
-
-
 def write_event_log(path, events, *, unfired_warning=False):
     """Write events as line-delimited JSON records.
 
     Floats are serialized both as decimals and as hexadecimal bit patterns
     so logs round-trip exactly.
     """
+    # Imported here: only runs that write artifacts need json.
+    import json
+
     with open(path, "w") as fh:
         for event in events:
             fh.write(json.dumps(event.to_record(), sort_keys=True))

@@ -92,7 +92,10 @@ def integration_matrix(nodes):
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 1 or nodes.size < 2:
         raise ValueError("nodes must be a 1-D array of at least two points")
-    if np.unique(nodes).size != nodes.size:
+    # Rejects what ``np.unique`` would shrink (equal neighbours once sorted,
+    # -0.0 == 0.0, or two NaNs, which sort last) without importing numpy.ma.
+    ordered = np.sort(nodes)
+    if np.any(ordered[1:] == ordered[:-1]) or np.isnan(ordered[-2]):
         raise ValueError("nodes must be distinct")
 
     n = nodes.size

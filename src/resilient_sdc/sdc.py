@@ -8,6 +8,7 @@ soft-error detection signal used by the resilience controller.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -264,9 +265,7 @@ def step_times(t0, t_end, dt):
         raise ValueError("t_end must not precede t0")
     if span == 0.0:
         return np.array([t0])
-    n_whole = int(round(span / dt))
-    if n_whole < 1 or not abs(n_whole * dt - span) <= 1e-9 * abs(span):
-        n_whole = int(np.floor(span / dt))
+    n_whole = math.floor(span / dt)
     boundaries = t0 + dt * np.arange(n_whole + 1)
     if t_end - boundaries[-1] > 1e-12 * max(abs(t_end), dt):
         boundaries = np.append(boundaries, t_end)

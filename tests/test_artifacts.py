@@ -1,7 +1,8 @@
-"""Per-run artifact files, byte for byte against a ``csv.writer`` reference.
+"""Per-run and campaign artifact files, byte for byte against a
+``csv.writer`` reference.
 
-The package formats its per-run CSV files itself, one f-string per row and
-one write per file.  The reference writers below are the ``csv.writer``
+The package formats its CSV files itself, one f-string per row and one
+write per file.  The reference writers below are the ``csv.writer``
 form those files were first written with (excel dialect: CRLF line ends,
 minimal quoting); every file must keep its bytes.
 """
@@ -14,7 +15,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from resilient_sdc.campaign import RunConfig, run_single
+from resilient_sdc import campaign
+from resilient_sdc.campaign import RunConfig, run_campaign, run_single
 from resilient_sdc.faults import FaultConfig, OneShotSpec
 from resilient_sdc.problems import IgnitionSurrogate, write_snapshot_csv
 
@@ -142,3 +144,82 @@ def test_snapshot_of_special_values_matches_the_reference(tmp_path):
     written = path.read_bytes()
     assert b",-0.0,0.1\r\n" in written and b",nan,-1e+300\r\n" in written
     assert b",inf,1e-300\r\n" in written and b",5e-324,5e-324\r\n" in written
+
+
+def reference_campaign_csvs(base_seed, rows, summary, out):
+    """The ``runs.csv`` and ``histogram.csv`` of a campaign, written into ``out``."""
+    os.makedirs(out, exist_ok=True)
+
+    with open(os.path.join(out, "runs.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["run_id", "base_seed", "scalar", "status", "restarts", "fault_events", "total_sweeps"]
+        )
+        for row in rows:
+            writer.writerow(
+                [
+                    row["run_id"],
+                    base_seed,
+                    repr(float(row["scalar"])),
+                    row["status"],
+                    row["restarts"],
+                    row["fault_events"],
+                    row["total_sweeps"],
+                ]
+            )
+
+    finite = [s for s in summary.scalars if math.isfinite(s)]
+    with open(os.path.join(out, "histogram.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["bin_left", "bin_right", "count"])
+        if finite:
+            counts, edges = np.histogram(finite, bins=min(20, max(5, len(finite) // 10)))
+            for i, count in enumerate(counts):
+                writer.writerow([repr(float(edges[i])), repr(float(edges[i + 1])), int(count)])
+
+
+def _run_campaign_and_compare(tmp_path, monkeypatch, cfg, n_runs, base_seed):
+    """Run a campaign with artifacts and compare its CSV files with the
+    reference's, written from the same rows and summary; returns the rows."""
+    seen = []
+    write = campaign._write_campaign_artifacts
+
+    def capture(cfg, base_seed, rows, summary):
+        seen.append((rows, summary))
+        write(cfg, base_seed, rows, summary)
+
+    monkeypatch.setattr(campaign, "_write_campaign_artifacts", capture)
+    out, ref = tmp_path / "campaign", tmp_path / "reference"
+    run_campaign(replace(cfg, output_dir=str(out)), n_runs, base_seed)
+    (rows, summary), = seen
+    reference_campaign_csvs(base_seed, rows, summary, str(ref))
+    for name in ("runs.csv", "histogram.csv"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+    return rows
+
+
+def test_campaign_with_an_aborted_member_matches_the_reference(tmp_path, monkeypatch):
+    cfg = RunConfig(
+        integrator="rk",
+        t_end=20 * _DT,
+        fault=FaultConfig(mode="type_b", window=96),
+    )
+    rows = _run_campaign_and_compare(tmp_path, monkeypatch, cfg, 8, 101)
+    statuses = [row["status"] for row in rows]
+    assert "aborted" in statuses and statuses.count("aborted") < len(statuses)
+    assert b",nan,aborted," in (tmp_path / "campaign" / "runs.csv").read_bytes()
+    histogram = (tmp_path / "campaign" / "histogram.csv").read_bytes().split(b"\r\n")
+    assert len(histogram) == 7  # header, 5 bins and the empty tail
+
+
+def test_all_aborted_campaign_matches_the_reference(tmp_path, monkeypatch):
+    cfg = RunConfig(
+        integrator="rk",
+        t_end=6 * _DT,
+        one_shot=OneShotSpec(step_index=2, sweep_index=1, node_index=0,
+                             kernel_id="assembly", offset=0, scale=1e308),
+    )
+    rows = _run_campaign_and_compare(tmp_path, monkeypatch, cfg, 2, 5)
+    assert [row["status"] for row in rows] == ["aborted", "aborted"]
+    histogram = (tmp_path / "campaign" / "histogram.csv").read_bytes()
+    assert histogram == b"bin_left,bin_right,count\r\n"

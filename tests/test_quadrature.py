@@ -1,5 +1,6 @@
 """Gauss-Lobatto nodes and integration matrices against analytic values."""
 
+import itertools
 import math
 
 import numpy as np
@@ -129,6 +130,29 @@ def test_integration_matrix_input_validation():
         integration_matrix(np.array([[0.0, 1.0]]))
     with pytest.raises(ValueError):
         integration_matrix(np.array([0.0, 0.5, 0.5, 1.0]))
+    with pytest.raises(ValueError):
+        integration_matrix(np.array([1.0, 0.0, 0.5, 0.0]))
+    with pytest.raises(ValueError):
+        integration_matrix(np.array([-0.0, 0.0, 1.0]))
+    with pytest.raises(ValueError):
+        integration_matrix(np.array([0.0, math.nan, 0.5, math.nan]))
+
+
+def test_distinct_node_check_agrees_with_np_unique():
+    """Every pair and triple of special values is rejected exactly when
+    ``np.unique`` would drop one of its entries."""
+    specials = [0.0, -0.0, 0.5, 1.0, -1.0, math.inf, -math.inf, math.nan, 5e-324]
+    for size in (2, 3):
+        for nodes in itertools.product(specials, repeat=size):
+            nodes = np.array(nodes)
+            distinct = np.unique(nodes).size == nodes.size
+            try:
+                with np.errstate(all="ignore"):
+                    integration_matrix(nodes)
+            except ValueError as exc:
+                assert not distinct and str(exc) == "nodes must be distinct", nodes
+            else:
+                assert distinct, nodes
 
 
 def test_node_to_node_matrix_requires_square():

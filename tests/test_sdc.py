@@ -77,6 +77,25 @@ def test_step_times_matches_the_isclose_reference():
             assert step_times(t0, t_end, dt).tobytes() == want.tobytes(), (t0, t_end, dt)
 
 
+def test_step_times_matches_the_isclose_reference_on_random_inputs():
+    """t0 zero or within +-10, dt log-uniform over 1e-6..1, 1-300 whole
+    steps, and the span off that whole multiple of dt by 0, up to 2e-9, up
+    to 1e-12 or up to 1, relative to the span or in steps."""
+    rng = np.random.default_rng(20261018)
+    scales = (0.0, 2e-9, 1e-12, 1.0)
+    for _ in range(20_000):
+        t0 = float(rng.choice([0.0, rng.uniform(-10.0, 10.0)]))
+        dt = float(10.0 ** rng.uniform(-6.0, 0.0))
+        steps = int(rng.integers(1, 301))
+        offset = float(rng.choice(scales) * rng.uniform(-1.0, 1.0))
+        if rng.integers(2):
+            t_end = t0 + steps * dt * (1.0 + offset)
+        else:
+            t_end = t0 + (steps + offset) * dt
+        want = _reference_step_times(t0, t_end, dt)
+        assert step_times(t0, t_end, dt).tobytes() == want.tobytes(), (t0, t_end, dt)
+
+
 def test_step_times_degenerate_and_invalid():
     assert list(step_times(2.0, 2.0, 0.1)) == [2.0]
     with pytest.raises(ValueError):
