@@ -17,7 +17,7 @@ print(f"t_end       : {config.resolved_t_end():.1e}")
 
 report = run_single(config)
 
-print(f"status      : {report.status}  (capped = some steps accepted at the sweep cap)")
+print(f"status      : {report.status}  (capped = some step reached max_sweeps without meeting the residual test)")
 print(f"steps       : {report.metrics['steps']}")
 print(f"restarts    : {report.metrics['restarts']}")
 

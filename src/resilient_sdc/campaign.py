@@ -28,7 +28,7 @@ from .problems import (
     write_snapshot_csv,
 )
 from .quadrature import lobatto_rule
-from .resilience import ControllerConfig, integrate_resilient, realizability_guard, residual_ratios
+from .resilience import ControllerConfig, integrate_resilient, realizability_guard
 from .rk import classical_rk4, rk_integrate
 from .sdc import integrate, step_times
 
@@ -186,14 +186,6 @@ def _build_system(cfg, hook):
     return problem, problem.system(hook), problem.initial_state()
 
 
-def _trace_capped(trace, controller):
-    if trace.sweeps_taken < controller.max_sweeps:
-        return False
-    r1, r_prev = residual_ratios(trace)
-    satisfied = r1 == 0.0 or (r1 < controller.r1_tol and r_prev > controller.ratio_tol)
-    return not satisfied
-
-
 def run_single(cfg):
     """Execute one configured run and (optionally) write its artifacts.
 
@@ -247,9 +239,8 @@ def run_single(cfg):
         # An aborted run keeps the traces of the steps it completed.
         status, error, aborted, traces = "aborted", str(exc), exc, exc.traces
 
-    if status != "aborted" and cfg.integrator == "sdc_resilient":
-        if any(_trace_capped(trace, cfg.controller) for trace in traces):
-            status = "capped"
+    if status != "aborted" and any(trace.capped for trace in traces):
+        status = "capped"
 
     one_shot_fired = None
     if isinstance(hook, OneShotPerturbation):

@@ -6,8 +6,9 @@ replaced by underscores); explicit flags win.  The output directory falls
 back to the RESILIENT_SDC_OUTPUT_DIR environment variable, then ./runs.
 
 Exit codes: 0 clean completion, 2 configuration error, 3 unrecoverable
-integration failure, 4 completed with some steps accepted at the sweep cap
-(status ``capped``).
+integration failure, 4 completed with some steps capped (status
+``capped``): a capped step reached ``max_sweeps`` without meeting the
+residual test.
 """
 
 from __future__ import annotations

@@ -9,9 +9,9 @@ class NonRealizableStateError(RuntimeError):
     Raised for non-finite states or right-hand-side evaluations, and for
     realizability-guard violations (for example a temperature outside the
     configured bounds).  Carries enough position information to attribute
-    the failure to a node and sweep; the integrators attach the step index
-    and, for SDC, the ``SweepTrace`` list of the steps completed before it
-    (``traces``) while the error propagates.  The message is built from the
+    the failure to a node and sweep; ``sdc.march`` attaches the step index
+    and the ``SweepTrace`` list of the steps completed before it (``traces``,
+    empty for RK) while the error propagates.  The message is built from the
     fields when it is read, so it names the step too.
     """
 
@@ -38,7 +38,7 @@ class NonRealizableStateError(RuntimeError):
 class UnrecoverableStepError(RuntimeError):
     """A timestep could not be completed within the restart budget.
 
-    ``restarts`` counts the restarts of the failing step.  The integrator
+    ``restarts`` counts the restarts of the failing step.  ``sdc.march``
     attaches the step index and the ``SweepTrace`` list of the steps
     completed before it (``traces``) while the error propagates; the message
     is built from the fields when it is read, so it names the step index.
@@ -56,6 +56,3 @@ class UnrecoverableStepError(RuntimeError):
         tries = f" after {self.restarts} restarts" if self.restarts is not None else ""
         return f"{self.detail}{where}{tries}"
 
-
-class InsufficientHistoryError(ValueError):
-    """Residual ratios were requested before two sweeps were recorded."""

@@ -30,7 +30,7 @@ __all__ = [
     "FaultInjector",
     "OneShotPerturbation",
     "bit_flip",
-    "scale_fault",
+    "corrupt",
     "maybe_inject",
     "write_event_log",
 ]
@@ -82,11 +82,6 @@ class FaultConfig:
             raise ValueError(f"targeted_bit must be in [0, 63], got {self.targeted_bit}")
 
 
-def scale_fault(value, cfg):
-    """Type-A corruption: multiply by the configured scale factor."""
-    return value * cfg.scale
-
-
 @dataclass
 class FaultEvent:
     """One injected fault, with enough context to replay or audit it."""
@@ -110,6 +105,27 @@ class FaultEvent:
         record["old_bits"] = f"{np.float64(self.old_value).view(np.uint64):016x}"
         record["new_bits"] = f"{np.float64(self.new_value).view(np.uint64):016x}"
         return record
+
+
+def corrupt(array, offset, kernel_id, *, bit=None, scale=None, call_index, sim_time,
+            position, run_id):
+    """Corrupt ``array[offset]`` in place and return its FaultEvent.
+
+    Flips ``bit`` (type B) when given, else multiplies by ``scale``
+    (type A).  ``position`` is the (step, sweep, node) of the kernel call.
+    """
+    old = float(array[offset])
+    if bit is not None:
+        new, scale = bit_flip(old, bit), None
+    else:
+        new = old * scale
+    array[offset] = new
+    step, sweep, node = position
+    return FaultEvent(
+        call_index=call_index, kernel_id=kernel_id, array_offset=offset, old_value=old,
+        new_value=new, sim_time=sim_time, bit_index=bit, scale=scale, step_index=step,
+        sweep_index=sweep, node_index=node, run_id=run_id,
+    )
 
 
 @dataclass
@@ -157,32 +173,15 @@ def maybe_inject(array, kernel_id, state, cfg, *, call_index=0, sim_time=0.0, po
             offset = int(cfg.targeted_offset)
         else:
             offset = int(state.rng.integers(0, array.size))
-        old = float(array[offset])
+        bit = None
         if cfg.mode == "type_b":
             if cfg.targeted_bit is not None:
                 bit = int(cfg.targeted_bit)
             else:
                 bit = int(state.rng.integers(0, 64))
-            new = bit_flip(old, bit)
-            scale = None
-        else:
-            bit = None
-            new = scale_fault(old, cfg)
-            scale = cfg.scale
-        array[offset] = new
-        step, sweep, node = position if position is not None else (0, 0, 0)
-        event = FaultEvent(
-            call_index=call_index,
-            kernel_id=kernel_id,
-            array_offset=offset,
-            old_value=old,
-            new_value=new,
-            sim_time=sim_time,
-            bit_index=bit,
-            scale=scale,
-            step_index=step,
-            sweep_index=sweep,
-            node_index=node,
+        event = corrupt(
+            array, offset, kernel_id, bit=bit, scale=cfg.scale, call_index=call_index,
+            sim_time=sim_time, position=position if position is not None else (0, 0, 0),
             run_id=state.run_id,
         )
 
@@ -322,30 +321,14 @@ class OneShotPerturbation(KernelHook):
             return
         if self.position() != (spec.step_index, spec.sweep_index, spec.node_index):
             return
-        offset = self._resolve_offset(array)
-        old = float(array[offset])
-        if spec.mode == "type_b":
-            new = bit_flip(old, spec.bit)
-        else:
-            new = old * spec.scale
-        array[offset] = new
-        self.fired = True
-        self.events.append(
-            FaultEvent(
-                call_index=self.call_count - 1,
-                kernel_id=kernel_id,
-                array_offset=offset,
-                old_value=old,
-                new_value=new,
-                sim_time=self.sim_time,
-                bit_index=spec.bit if spec.mode == "type_b" else None,
-                scale=spec.scale if spec.mode == "type_a" else None,
-                step_index=self.step_index,
-                sweep_index=self.sweep_index,
-                node_index=self.node_index,
-                run_id=self.run_id,
-            )
+        event = corrupt(
+            array, self._resolve_offset(array), kernel_id,
+            bit=spec.bit if spec.mode == "type_b" else None, scale=spec.scale,
+            call_index=self.call_count - 1, sim_time=self.sim_time, position=self.position(),
+            run_id=self.run_id,
         )
+        self.fired = True
+        self.events.append(event)
 
     def warn_if_unfired(self):
         """Log when the schedule was never reached; returns True if it fired."""

@@ -2,10 +2,10 @@
 
 The controller watches the collocation residual that SDC provides for free:
 a step is accepted once the residual has dropped far below its predictor
-level and stopped improving, or when the sweep budget is exhausted.  States
-that leave the realizable set roll the step back to a cached checkpoint;
-the fault window counter is deliberately not rewound, so a retried step
-generally escapes the fault that killed it.
+level and stopped improving, or when the sweep budget is exhausted (a
+capped step).  States that leave the realizable set roll the step back to a
+cached checkpoint; the fault window counter is deliberately not rewound, so
+a retried step generally escapes the fault that killed it.
 """
 
 from __future__ import annotations
@@ -14,18 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InsufficientHistoryError,
-    NonRealizableStateError,
-    UnrecoverableStepError,
-)
-from .sdc import integrate_step, non_finite_violation, step_times
+from .errors import NonRealizableStateError, UnrecoverableStepError
+from .sdc import integrate_step, march, non_finite_violation
 
 __all__ = [
     "ControllerConfig",
     "StepCheckpoint",
-    "residual_ratios",
-    "should_continue",
+    "converged",
     "controller_policy",
     "realizability_guard",
     "checkpointed_step",
@@ -56,59 +51,38 @@ class ControllerConfig:
             raise ValueError(f"max_restarts must be >= 0, got {self.max_restarts}")
 
 
-def _ratios_from_norms(norms):
-    if len(norms) < 2:
-        raise InsufficientHistoryError(
-            f"residual ratios need at least two sweeps, got {len(norms)}"
-        )
+def converged(norms, cfg):
+    """The paper's acceptance test on a step's residual max-norms.
+
+    True when the latest residual is below ``r1_tol`` times the first
+    sweep's and above ``ratio_tol`` times the previous sweep's (it has
+    stopped improving).  A zero first or latest residual counts as
+    converged, and a zero previous one as still improving.  Needs at least
+    two norms.
+    """
     latest = norms[-1]
     first = norms[0]
-    previous = norms[-2]
     r1 = latest / first if first != 0.0 else 0.0
-    r_prev = latest / previous if previous != 0.0 else 0.0
-    return r1, r_prev
-
-
-def residual_ratios(trace):
-    """Convergence ratios from a trace's recorded residual max-norms.
-
-    Returns (r1, r_prev): the latest residual relative to the first sweep's
-    and to the previous sweep's.  A zero denominator yields zero by
-    convention (an exactly zero residual means the step is converged).
-    """
-    norms = getattr(trace, "residual_maxnorms", trace)
-    return _ratios_from_norms(norms)
-
-
-def should_continue(r1, r_prev, sweeps_taken, cfg):
-    """Decide whether to keep sweeping (True) or accept the step (False).
-
-    Acceptance requires the residual to have fallen below ``r1_tol`` of its
-    first-sweep value while successive sweeps no longer improve it by more
-    than ``ratio_tol``, after at least ``min_sweeps`` sweeps; the step is
-    accepted unconditionally at ``max_sweeps``.  An exactly zero residual
-    accepts immediately once eligible.
-    """
-    if sweeps_taken >= cfg.max_sweeps:
-        return False
-    if sweeps_taken < cfg.min_sweeps:
-        return True
     if r1 == 0.0:
-        return False
-    return not (r1 < cfg.r1_tol and r_prev > cfg.ratio_tol)
+        return True
+    previous = norms[-2]
+    r_prev = latest / previous if previous != 0.0 else 0.0
+    return r1 < cfg.r1_tol and r_prev > cfg.ratio_tol
 
 
 def controller_policy(cfg):
-    """Adapt a ControllerConfig to the sweep-policy callable of the core."""
+    """The resilient sweep policy: at least ``min_sweeps`` sweeps, then
+    sweep until ``converged``, and stop at ``max_sweeps`` regardless."""
 
-    def policy(norms):
+    def keep_sweeping(norms):
         sweeps_taken = len(norms)
-        if sweeps_taken < 2:
+        if sweeps_taken >= cfg.max_sweeps:
+            return False
+        if sweeps_taken < cfg.min_sweeps:
             return True
-        r1, r_prev = _ratios_from_norms(norms)
-        return should_continue(r1, r_prev, sweeps_taken, cfg)
+        return not converged(norms, cfg)
 
-    return policy
+    return keep_sweeping
 
 
 def realizability_guard(state, sys):
@@ -142,6 +116,8 @@ def checkpointed_step(checkpoint, dt, rule, sys, cfg):
     turns non-realizable the step restarts from the (bit-identical) cached
     checkpoint, up to ``cfg.max_restarts`` times, after which
     UnrecoverableStepError is raised.  The fault hook is never rewound.
+    The accepted step's trace records whether it was capped: it reached
+    ``max_sweeps`` without meeting the residual test.
     """
     policy = controller_policy(cfg)
 
@@ -161,6 +137,7 @@ def checkpointed_step(checkpoint, dt, rule, sys, cfg):
                 state_check=check,
             )
             trace.restarts = restarts
+            trace.capped = not converged(trace.residual_maxnorms, cfg)
             return end_state, trace
         except NonRealizableStateError as exc:
             restarts += 1
@@ -178,22 +155,8 @@ def integrate_resilient(phi_0, t0, t_end, dt, rule, sys, cfg):
     UnrecoverableStepError (step index and completed steps' traces attached)
     when a step exhausts its restart budget.
     """
-    phi = np.asarray(phi_0, dtype=float).copy()
-    boundaries = step_times(t0, t_end, dt)
-    trajectory = [(float(boundaries[0]), phi.copy())]
-    traces = []
-    hook = sys.hook
-    for k in range(len(boundaries) - 1):
-        t_k = float(boundaries[k])
-        h = float(boundaries[k + 1] - boundaries[k])
-        if hook is not None:
-            hook.begin_step(k, t_k)
-        checkpoint = StepCheckpoint.capture(phi, t_k)
-        try:
-            phi, trace = checkpointed_step(checkpoint, h, rule, sys, cfg)
-        except UnrecoverableStepError as exc:
-            exc.step_index, exc.traces = k, traces
-            raise
-        traces.append(trace)
-        trajectory.append((float(boundaries[k + 1]), phi.copy()))
-    return trajectory, traces
+
+    def step(k, phi, t_k, h):
+        return checkpointed_step(StepCheckpoint.capture(phi, t_k), h, rule, sys, cfg)
+
+    return march(phi_0, t0, t_end, dt, sys, step)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonRealizableStateError
-from .sdc import step_times
+from .sdc import march
 
 __all__ = ["ButcherTableau", "classical_rk4", "rk_step", "rk_integrate"]
 
@@ -103,23 +103,13 @@ def rk_integrate(phi_0, t0, t_end, dt, tableau, sys, *, state_check=None):
     ``state_check`` is applied to each accepted step state; a violation
     raises NonRealizableStateError (there is no recovery path here).
     """
-    phi = np.asarray(phi_0, dtype=float).copy()
-    boundaries = step_times(t0, t_end, dt)
-    trajectory = [(float(boundaries[0]), phi.copy())]
-    hook = sys.hook
-    for k in range(len(boundaries) - 1):
-        t_k = float(boundaries[k])
-        h = float(boundaries[k + 1] - boundaries[k])
-        if hook is not None:
-            hook.begin_step(k, t_k)
-        try:
-            phi = rk_step(phi, t_k, h, tableau, sys)
-            if state_check is not None:
-                violation = state_check(phi)
-                if violation is not None:
-                    raise NonRealizableStateError(violation, sweep_index=1)
-        except NonRealizableStateError as exc:
-            exc.step_index = k
-            raise
-        trajectory.append((float(boundaries[k + 1]), phi.copy()))
-    return trajectory
+
+    def step(k, phi, t_k, h):
+        phi = rk_step(phi, t_k, h, tableau, sys)
+        if state_check is not None:
+            violation = state_check(phi)
+            if violation is not None:
+                raise NonRealizableStateError(violation, sweep_index=1)
+        return phi, None
+
+    return march(phi_0, t0, t_end, dt, sys, step)[0]

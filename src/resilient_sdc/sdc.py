@@ -9,12 +9,13 @@ soft-error detection signal used by the resilience controller.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NonRealizableStateError
+from .errors import NonRealizableStateError, UnrecoverableStepError
 
 __all__ = [
     "ODESystem",
@@ -25,7 +26,9 @@ __all__ = [
     "residual",
     "non_finite_violation",
     "residual_max_norm",
+    "fixed_sweeps",
     "integrate_step",
+    "march",
     "integrate",
     "step_times",
 ]
@@ -62,12 +65,16 @@ class NodeSolution:
 
 @dataclass
 class SweepTrace:
-    """Per-step diagnostics: residual history and controller bookkeeping."""
+    """Per-step diagnostics: residual history and controller bookkeeping.
+
+    ``capped`` marks a step that reached ``max_sweeps`` without meeting the
+    residual test; only the resilient controller sets it.
+    """
 
     residual_maxnorms: list = field(default_factory=list)
     sweeps_taken: int = 0
-    accepted: bool = True
     restarts: int = 0
+    capped: bool = False
 
 
 def non_finite_violation(state):
@@ -200,47 +207,44 @@ def _check_states(sol, state_check, sweep_index, *, first_node=0):
             )
 
 
+def fixed_sweeps(count):
+    """Sweep policy for a fixed sweep count, predictor included."""
+    count = operator.index(count)
+    if count < 1:
+        raise ValueError(f"sweep count must be >= 1, got {count}")
+    return lambda norms: len(norms) < count
+
+
 def integrate_step(
     phi_n,
     t_start,
     dt,
     rule,
     sys,
-    sweep_policy,
+    keep_sweeping,
     *,
     state_check=None,
     sweep_observer=None,
 ):
-    """Advance one step: predictor plus sweeps until the policy accepts.
+    """Advance one step: predictor plus sweeps while the policy asks for more.
 
-    ``sweep_policy`` is either a positive integer (fixed sweep count,
-    predictor included) or a callable mapping the list of recorded residual
-    max-norms to True (keep sweeping) or False (accept).  ``state_check``
-    optionally maps a node state to a violation description; a violation
-    raises NonRealizableStateError.  ``sweep_observer`` is called with
-    (sweep_index, NodeSolution) after every sweep, for diagnostics.
+    ``keep_sweeping`` maps the list of recorded residual max-norms to True
+    (sweep again) or False (accept); ``fixed_sweeps(n)`` makes one for a
+    fixed count.  ``state_check`` optionally maps a node state to a
+    violation description; a violation raises NonRealizableStateError.
+    ``sweep_observer`` is called with (sweep_index, NodeSolution) after
+    every sweep, for diagnostics.
 
     Returns (end state, SweepTrace).  The trace records the residual
     max-norm after the predictor and after every correction sweep.
     """
-    fixed_count = None
-    if isinstance(sweep_policy, (int, np.integer)):
-        fixed_count = int(sweep_policy)
-        if fixed_count < 1:
-            raise ValueError(f"sweep count must be >= 1, got {sweep_policy}")
-
     sol = predictor(phi_n, rule, sys, t_start, dt)
     _check_states(sol, state_check, 1)
     trace = SweepTrace(residual_maxnorms=[residual_max_norm(sol, rule)], sweeps_taken=1)
     if sweep_observer is not None:
         sweep_observer(1, sol)
 
-    while True:
-        if fixed_count is not None:
-            if trace.sweeps_taken >= fixed_count:
-                break
-        elif not sweep_policy(trace.residual_maxnorms):
-            break
+    while keep_sweeping(trace.residual_maxnorms):
         sweep_index = trace.sweeps_taken + 1
         sol = sdc_sweep(sol, rule, sys, sweep_index=sweep_index)
         _check_states(sol, state_check, sweep_index, first_node=1)
@@ -274,16 +278,14 @@ def step_times(t0, t_end, dt):
     return boundaries
 
 
-def integrate(
-    phi_0, t0, t_end, dt, rule, sys, sweep_policy, *, state_check=None, sweep_observer=None
-):
-    """Fixed-step integration over [t0, t_end] without checkpoint recovery.
+def march(phi_0, t0, t_end, dt, sys, step):
+    """The fixed-step loop over [t0, t_end] that every integrator runs on.
 
-    Returns (trajectory, traces) where trajectory is a list of
-    (time, state) pairs including the initial condition.  Realizability
-    failures propagate with the step index and the completed steps' traces
-    attached.  ``sweep_observer``, when given, is called as (step_index,
-    sweep_index, NodeSolution) after every sweep.
+    ``step(k, phi, t_k, h)`` advances step k and returns (new state, trace
+    or None); the hook hears ``begin_step`` first.  Returns (trajectory,
+    traces): (time, state) pairs from the initial condition on, and the
+    recorded traces.  A NonRealizableStateError or UnrecoverableStepError
+    leaves with the step index and the completed steps' traces attached.
     """
     phi = np.asarray(phi_0, dtype=float).copy()
     boundaries = step_times(t0, t_end, dt)
@@ -295,23 +297,35 @@ def integrate(
         h = float(boundaries[k + 1] - boundaries[k])
         if hook is not None:
             hook.begin_step(k, t_k)
-        observer = None
-        if sweep_observer is not None:
-            observer = lambda sweep, sol, _k=k: sweep_observer(_k, sweep, sol)  # noqa: E731
         try:
-            phi, trace = integrate_step(
-                phi,
-                t_k,
-                h,
-                rule,
-                sys,
-                sweep_policy,
-                state_check=state_check,
-                sweep_observer=observer,
-            )
-        except NonRealizableStateError as exc:
+            phi, trace = step(k, phi, t_k, h)
+        except (NonRealizableStateError, UnrecoverableStepError) as exc:
             exc.step_index, exc.traces = k, traces
             raise
-        traces.append(trace)
+        if trace is not None:
+            traces.append(trace)
         trajectory.append((float(boundaries[k + 1]), phi.copy()))
     return trajectory, traces
+
+
+def integrate(
+    phi_0, t0, t_end, dt, rule, sys, sweeps, *, state_check=None, sweep_observer=None
+):
+    """Fixed-step integration over [t0, t_end] without checkpoint recovery.
+
+    Every step takes ``sweeps`` sweeps, predictor included.  Returns
+    (trajectory, traces) as ``march`` does; realizability failures
+    propagate with the step index and the completed steps' traces attached.
+    ``sweep_observer``, when given, is called as (step_index, sweep_index,
+    NodeSolution) after every sweep.
+    """
+    keep_sweeping = fixed_sweeps(sweeps)
+
+    def step(k, phi, t_k, h):
+        observer = None
+        if sweep_observer is not None:
+            observer = lambda sweep, sol: sweep_observer(k, sweep, sol)  # noqa: E731
+        return integrate_step(phi, t_k, h, rule, sys, keep_sweeping, state_check=state_check,
+                              sweep_observer=observer)
+
+    return march(phi_0, t0, t_end, dt, sys, step)

@@ -31,7 +31,7 @@ from resilient_sdc.faults import (
 from resilient_sdc.problems import LinearProblem
 from resilient_sdc.quadrature import lobatto_rule
 from resilient_sdc.resilience import ControllerConfig, controller_policy
-from resilient_sdc.sdc import integrate_step, predictor, sdc_sweep
+from resilient_sdc.sdc import fixed_sweeps, integrate_step, predictor, sdc_sweep
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -224,7 +224,7 @@ def test_criterion_5_no_extra_sweeps_without_faults(fault_free_resilient):
             t0, state0 = report.trajectory[i]
             t1 = report.trajectory[i + 1][0]
             _, trace = integrate_step(
-                state0.copy(), t0, t1 - t0, rule, system, controller.max_sweeps
+                state0.copy(), t0, t1 - t0, rule, system, fixed_sweeps(controller.max_sweeps)
             )
             recorded = report.traces[i].residual_maxnorms
             assert trace.residual_maxnorms[: len(recorded)] == recorded

@@ -15,8 +15,8 @@ from resilient_sdc.faults import (
     OneShotPerturbation,
     OneShotSpec,
     bit_flip,
+    corrupt,
     maybe_inject,
-    scale_fault,
     write_event_log,
 )
 from resilient_sdc.problems import KERNEL_IDS
@@ -56,8 +56,19 @@ def test_bit_flip_range_check():
         bit_flip(1.0, -1)
 
 
-def test_scale_fault_multiplies():
-    assert scale_fault(3.0, FaultConfig(mode="type_a", scale=1e4)) == 3.0e4
+def test_corrupt_flips_or_scales_in_place_and_records_the_event():
+    where = dict(call_index=7, sim_time=0.5, position=(3, 2, 1), run_id=9)
+    array = np.array([1.0, 3.0, 4.0])
+    event = corrupt(array, 1, "assembly", scale=1e4, **where)
+    assert array.tolist() == [1.0, 3.0e4, 4.0]
+    assert (event.old_value, event.new_value, event.scale, event.bit_index) == (3.0, 3.0e4, 1e4, None)
+    event = corrupt(array, 2, "gradient_T", bit=63, scale=1e4, **where)
+    assert array.tolist() == [1.0, 3.0e4, -4.0]
+    assert (event.old_value, event.new_value, event.scale, event.bit_index) == (4.0, -4.0, None, 63)
+    assert (event.kernel_id, event.array_offset, event.call_index, event.sim_time) == (
+        "gradient_T", 2, 7, 0.5
+    )
+    assert (event.step_index, event.sweep_index, event.node_index, event.run_id) == (3, 2, 1, 9)
 
 
 # ---------------------------------------------------------------------------

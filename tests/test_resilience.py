@@ -1,14 +1,13 @@
 """Acceptance controller, realizability guard, and checkpoint/restart."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from resilient_sdc.errors import (
-    InsufficientHistoryError,
-    NonRealizableStateError,
-    UnrecoverableStepError,
-)
-from resilient_sdc.faults import KernelHook
+from resilient_sdc.campaign import RunConfig, run_single
+from resilient_sdc.errors import NonRealizableStateError, UnrecoverableStepError
+from resilient_sdc.faults import FaultConfig, KernelHook
 from resilient_sdc.problems import IgnitionSurrogate, LinearProblem
 from resilient_sdc.quadrature import lobatto_rule
 from resilient_sdc.resilience import (
@@ -16,12 +15,11 @@ from resilient_sdc.resilience import (
     StepCheckpoint,
     checkpointed_step,
     controller_policy,
+    converged,
     integrate_resilient,
     realizability_guard,
-    residual_ratios,
-    should_continue,
 )
-from resilient_sdc.sdc import SweepTrace, integrate
+from resilient_sdc.sdc import integrate
 
 CFG = ControllerConfig()
 
@@ -30,29 +28,52 @@ CFG = ControllerConfig()
 # acceptance predicate
 
 
+def _trail(r1, r_prev, sweeps):
+    """Residual max-norms over ``sweeps`` sweeps (at least three) whose last
+    entry is ``r1`` times the first and ``r_prev`` times the one before."""
+    return [1.0] + [0.5] * (sweeps - 3) + [r1 / r_prev, r1]
+
+
 def test_accepts_converged_and_stalled_residual():
-    # residual down five orders and the last sweep barely helped: accept
-    assert should_continue(1e-6, 0.95, 4, CFG) is False
+    # residual down six orders and the last sweep barely helped: accept
+    norms = _trail(1e-6, 0.95, 4)
+    assert converged(norms, CFG) is True
+    assert controller_policy(CFG)(norms) is False
 
 
 def test_continues_while_residual_is_high():
-    assert should_continue(1e-3, 0.95, 4, CFG) is True
+    norms = _trail(1e-3, 0.95, 4)
+    assert converged(norms, CFG) is False
+    assert controller_policy(CFG)(norms) is True
 
 
 def test_continues_while_still_improving():
-    assert should_continue(1e-6, 0.5, 4, CFG) is True
+    norms = _trail(1e-6, 0.5, 4)
+    assert converged(norms, CFG) is False
+    assert controller_policy(CFG)(norms) is True
 
 
 def test_accepts_unconditionally_at_the_sweep_cap():
-    assert should_continue(0.5, 0.2, 8, CFG) is False
+    # the policy stops at max_sweeps; the test is not met, so the step is capped
+    norms = _trail(0.5, 0.2, CFG.max_sweeps)
+    assert controller_policy(CFG)(norms) is False
+    assert converged(norms, CFG) is False
 
 
 def test_requires_minimum_sweeps():
-    assert should_continue(1e-6, 0.95, 1, CFG) is True
+    assert controller_policy(CFG)([1.0]) is True
+    norms = _trail(1e-6, 0.95, 4)
+    assert converged(norms, CFG) is True
+    assert controller_policy(ControllerConfig(min_sweeps=5))(norms) is True
 
 
 def test_zero_residual_accepts_immediately_once_eligible():
-    assert should_continue(0.0, 0.0, 2, CFG) is False
+    assert converged([1.0, 0.0], CFG) is True
+    assert controller_policy(CFG)([1.0, 0.0]) is False
+    # a zero first residual counts as converged too
+    assert converged([0.0, 1e-3], CFG) is True
+    # a zero previous residual reads as still improving (r_prev = 0)
+    assert converged([1.0, 0.0, 1e-7], CFG) is False
 
 
 def test_controller_config_validation():
@@ -64,13 +85,12 @@ def test_controller_config_validation():
         ControllerConfig(r1_tol=0.0)
 
 
-def test_residual_ratios_from_trace():
-    trace = SweepTrace(residual_maxnorms=[1.0, 0.5, 0.25])
-    r1, r_prev = residual_ratios(trace)
-    assert r1 == 0.25
-    assert r_prev == 0.5
-    with pytest.raises(InsufficientHistoryError):
-        residual_ratios(SweepTrace(residual_maxnorms=[1.0]))
+def test_converged_measures_against_the_first_and_previous_sweep():
+    # r1 = 0.25 (latest over first), r_prev = 0.5 (latest over previous)
+    norms = [1.0, 0.5, 0.25]
+    assert converged(norms, ControllerConfig(r1_tol=0.26, ratio_tol=0.49)) is True
+    assert converged(norms, ControllerConfig(r1_tol=0.25, ratio_tol=0.49)) is False
+    assert converged(norms, ControllerConfig(r1_tol=0.26, ratio_tol=0.5)) is False
 
 
 def test_policy_matches_predicate_on_recorded_trails():
@@ -249,6 +269,19 @@ def test_integrate_resilient_attaches_step_index_on_abort():
         )
     assert excinfo.value.step_index == 0
     assert str(excinfo.value).endswith(f"at step 0 after {CFG.max_restarts} restarts")
+    assert excinfo.value.traces == []
+
+    # attempts 0 and 1 are steps 0 and 1; every attempt at step 2 fails
+    hook = _CorruptOnAttempts(range(2, CFG.max_restarts + 3))
+    with pytest.raises(UnrecoverableStepError) as excinfo:
+        integrate_resilient(
+            prob.initial_state(), 0.0, 5 * prob.default_dt(), prob.default_dt(),
+            lobatto_rule(3), prob.system(hook), CFG,
+        )
+    assert excinfo.value.step_index == 2
+    assert len(excinfo.value.traces) == 2
+    assert [trace.restarts for trace in excinfo.value.traces] == [0, 0]
+    assert str(excinfo.value).endswith(f"at step 2 after {CFG.max_restarts} restarts")
 
 
 def test_resilient_trajectory_matches_fixed_run_when_counts_agree():
@@ -265,3 +298,53 @@ def test_resilient_trajectory_matches_fixed_run_when_counts_agree():
     for (t1, s1), (t2, s2) in zip(resilient_traj, fixed_traj):
         assert t1 == t2
         np.testing.assert_array_equal(s1, s2)
+
+
+# ---------------------------------------------------------------------------
+# capped steps
+
+
+def _trace_capped(trace, controller):
+    """Reference: the acceptance test applied after the fact to a recorded
+    trace, as the campaign layer once did."""
+    if trace.sweeps_taken < controller.max_sweeps:
+        return False
+    norms = trace.residual_maxnorms
+    r1 = norms[-1] / norms[0] if norms[0] != 0.0 else 0.0
+    r_prev = norms[-1] / norms[-2] if norms[-2] != 0.0 else 0.0
+    satisfied = r1 == 0.0 or (r1 < controller.r1_tol and r_prev > controller.ratio_tol)
+    return not satisfied
+
+
+def _resilient_reports():
+    dt = IgnitionSurrogate().default_dt()
+    yield run_single(RunConfig(integrator="sdc_resilient", t_end=200 * dt))
+    member = RunConfig(integrator="sdc_resilient", t_end=20 * dt)
+    for seed in (101, 4242):
+        fault = FaultConfig(mode="type_b", window=96, seed=seed)
+        for run_id in range(12):
+            yield run_single(replace(member, fault=fault, run_id=run_id))
+
+
+def test_trace_capped_matches_the_after_the_fact_reference():
+    flags = []
+    for report in _resilient_reports():
+        for trace in report.traces:
+            assert trace.capped == _trace_capped(trace, report.config.controller)
+            flags.append(trace.capped)
+        if report.status != "aborted":
+            assert (report.status == "capped") == any(t.capped for t in report.traces)
+    assert True in flags and False in flags
+
+
+def test_fixed_sweep_traces_are_never_capped():
+    # at the controller's cap, the reference would call some of these steps capped
+    controller = ControllerConfig()
+    cfg = RunConfig(
+        integrator="sdc_fixed", sweeps=controller.max_sweeps,
+        t_end=200 * IgnitionSurrogate().default_dt(),
+    )
+    report = run_single(cfg)
+    assert report.status == "clean"
+    assert not any(trace.capped for trace in report.traces)
+    assert any(_trace_capped(trace, controller) for trace in report.traces)

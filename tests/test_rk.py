@@ -87,6 +87,10 @@ def test_state_check_violation_aborts():
             prob.initial_state(), 0.0, 1.0, 0.1, classical_rk4(), prob.system(), state_check=check
         )
     assert excinfo.value.step_index is not None
+    # exp(t) passes 2.0 at t = 0.693, so step 6 (ending at t = 0.7) is the
+    # first whose end state fails; RK keeps no traces
+    assert excinfo.value.step_index == 6
+    assert len(excinfo.value.traces) == 0
 
 
 def test_non_finite_stage_detected():

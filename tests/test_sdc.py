@@ -15,6 +15,7 @@ from resilient_sdc.resilience import realizability_guard
 from resilient_sdc.sdc import (
     NodeSolution,
     ODESystem,
+    fixed_sweeps,
     integrate,
     integrate_step,
     predictor,
@@ -162,11 +163,11 @@ def test_residual_decays_monotonically_at_first(linear):
 def test_integrate_step_fixed_count_controls_iterations(linear):
     _, sys_, phi0 = linear
     rule = lobatto_rule(3)
-    _, trace = integrate_step(phi0, 0.0, 1.0, rule, sys_, 5)
+    _, trace = integrate_step(phi0, 0.0, 1.0, rule, sys_, fixed_sweeps(5))
     assert trace.sweeps_taken == 5
     assert len(trace.residual_maxnorms) == 5
     with pytest.raises(ValueError):
-        integrate_step(phi0, 0.0, 1.0, rule, sys_, 0)
+        integrate_step(phi0, 0.0, 1.0, rule, sys_, fixed_sweeps(0))
 
 
 def test_integrate_step_policy_callable(linear):
@@ -207,6 +208,11 @@ def test_state_check_violation_aborts_with_step_index(linear):
         integrate(phi0, 0.0, 1.0, 0.1, lobatto_rule(3), sys_, 4, state_check=check)
     assert excinfo.value.step_index is not None
     assert "too large" in str(excinfo.value)
+    # exp(t) passes 1.5 at t = 0.405, inside step 4: the four completed
+    # steps' traces leave with the error
+    assert excinfo.value.step_index == 4
+    assert len(excinfo.value.traces) == 4
+    assert all(trace.sweeps_taken == 4 for trace in excinfo.value.traces)
 
 
 def test_sweep_observer_sees_every_iteration(linear):
@@ -245,7 +251,7 @@ def test_state_checks_skip_node_zero_after_the_predictor():
         log.append(("sweep", sweep, sol.node_states.copy()))
 
     sweeps = 4
-    integrate_step(prob.initial_state(), 0.0, prob.default_dt(), rule, sys_, sweeps,
+    integrate_step(prob.initial_state(), 0.0, prob.default_dt(), rule, sys_, fixed_sweeps(sweeps),
                    state_check=check, sweep_observer=observe)
     checks_per_sweep, checked = [], []
     for entry in log:

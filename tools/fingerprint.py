@@ -61,7 +61,7 @@ def _report_parts(report):
         "metrics": report.metrics,
         "one_shot_fired": report.one_shot_fired,
         "traces": [
-            [t.residual_maxnorms, t.sweeps_taken, t.accepted, t.restarts] for t in report.traces
+            [t.residual_maxnorms, t.sweeps_taken, t.restarts] for t in report.traces
         ],
         "events": [event.to_record() for event in report.events],
         "error_history": report.error_history,
