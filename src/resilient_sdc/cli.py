@@ -22,6 +22,7 @@ from dataclasses import replace
 
 from .campaign import (
     RunConfig,
+    _write_csv,
     convergence_study,
     run_campaign,
     run_single,
@@ -220,17 +221,13 @@ def _cmd_sense(args, config, out_dir):
 
 
 def _write_sense_csv(out_dir, rows):
-    import csv
-
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "sensitivity.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kernel", "final_peak_T", "deviation", "status"])
-        for row in rows:
-            writer.writerow(
-                [row["kernel"], repr(row["final_peak_T"]), repr(row["deviation"]), row["status"]]
-            )
+    lines = [
+        f"{row['kernel']},{row['final_peak_T']!r},{row['deviation']!r},{row['status']}\r\n"
+        for row in rows
+    ]
+    _write_csv(path, "kernel,final_peak_T,deviation,status", lines)
     print(f"artifacts: {path}")
 
 

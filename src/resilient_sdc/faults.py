@@ -58,8 +58,8 @@ class FaultConfig:
     ``window`` is the number of kernel calls per injection window and
     ``scale`` the type-A multiplier.  ``streams`` counts independent
     injection streams (each with its own window counter), standing in for
-    the per-rank callbacks of a distributed run.  The ``targeted_*`` fields
-    narrow injection to one kernel, bit position, or array offset.
+    the per-rank callbacks of a distributed run.  A deterministic fault at a
+    chosen kernel, offset and bit is a ``OneShotSpec``.
     """
 
     mode: str = "off"
@@ -67,9 +67,6 @@ class FaultConfig:
     scale: float = 1.0e4
     seed: int = 0
     streams: int = 1
-    targeted_kernel: Optional[str] = None
-    targeted_bit: Optional[int] = None
-    targeted_offset: Optional[int] = None
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -78,8 +75,6 @@ class FaultConfig:
             raise ValueError(f"window must be >= 1, got {self.window}")
         if self.streams < 1:
             raise ValueError(f"streams must be >= 1, got {self.streams}")
-        if self.targeted_bit is not None and not 0 <= self.targeted_bit <= 63:
-            raise ValueError(f"targeted_bit must be in [0, 63], got {self.targeted_bit}")
 
 
 @dataclass
@@ -157,28 +152,20 @@ class InjectionState:
 def maybe_inject(array, kernel_id, state, cfg, *, call_index=0, sim_time=0.0, position=None):
     """Advance one stream by one kernel call, possibly corrupting ``array``.
 
-    When the within-window call counter hits the drawn fault call and the
-    kernel matches any configured filter, exactly one element is mutated in
-    place and a FaultEvent is returned; otherwise None.  The counter
-    advances even in ``off`` mode so arming faults never changes call
-    accounting.
+    When the within-window call counter hits the drawn fault call, exactly
+    one element is mutated in place and a FaultEvent is returned; otherwise
+    None.  The counter advances even in ``off`` mode so arming faults never
+    changes call accounting.
     """
     fire = state.counter == state.fault_call
     state.counter += 1
 
     event = None
-    kernel_ok = cfg.targeted_kernel is None or kernel_id == cfg.targeted_kernel
-    if fire and cfg.mode != "off" and kernel_ok:
-        if cfg.targeted_offset is not None:
-            offset = int(cfg.targeted_offset)
-        else:
-            offset = int(state.rng.integers(0, array.size))
+    if fire and cfg.mode != "off":
+        offset = int(state.rng.integers(0, array.size))
         bit = None
         if cfg.mode == "type_b":
-            if cfg.targeted_bit is not None:
-                bit = int(cfg.targeted_bit)
-            else:
-                bit = int(state.rng.integers(0, 64))
+            bit = int(state.rng.integers(0, 64))
         event = corrupt(
             array, offset, kernel_id, bit=bit, scale=cfg.scale, call_index=call_index,
             sim_time=sim_time, position=position if position is not None else (0, 0, 0),
@@ -195,9 +182,10 @@ def maybe_inject(array, kernel_id, state, cfg, *, call_index=0, sim_time=0.0, po
 class KernelHook:
     """Base observer for kernelized rhs evaluations; injects nothing.
 
-    Tracks the integrator position and counts kernel calls.  A disarmed
-    hook leaves every array untouched, so runs with and without it are
-    bitwise identical.
+    Every ``ODESystem`` carries a hook, this one when it is given none.  It
+    tracks the integrator position and counts kernel calls, and leaves every
+    array untouched, so a disarmed run is bitwise identical to an
+    uninstrumented one.
     """
 
     def __init__(self, run_id=0):
@@ -276,8 +264,8 @@ class FaultInjector(KernelHook):
 class OneShotSpec:
     """Schedule and corruption model for a single deterministic fault.
 
-    ``offset`` is an array index, or the string ``"max_T"`` to resolve the
-    hottest gridpoint of the observed state at injection time.
+    ``offset`` is a non-negative array index, or the string ``"max_T"`` to
+    resolve the hottest gridpoint of the observed state at injection time.
     """
 
     step_index: int = 0
@@ -290,6 +278,10 @@ class OneShotSpec:
     bit: Optional[int] = None
 
     def __post_init__(self):
+        if self.offset != "max_T" and not (isinstance(self.offset, int) and self.offset >= 0):
+            raise ValueError(
+                f"one-shot offset must be a non-negative int or 'max_T', got {self.offset!r}"
+            )
         if self.mode not in ("type_a", "type_b"):
             raise ValueError(f"one-shot mode must be type_a or type_b, got {self.mode!r}")
         if self.mode == "type_b" and self.bit is None:
@@ -304,7 +296,7 @@ class OneShotPerturbation(KernelHook):
         self.spec = spec
         self.fired = False
 
-    def _resolve_offset(self, array):
+    def _resolve_offset(self, kernel_id, array):
         offset = self.spec.offset
         if offset == "max_T":
             state = self.observed_state
@@ -312,7 +304,12 @@ class OneShotPerturbation(KernelHook):
                 raise ValueError("max_T offset needs an observed state")
             n = state.size // 2
             return int(np.argmax(state[:n]))
-        return int(offset)
+        if offset >= array.size:
+            raise ValueError(
+                f"one-shot offset {offset} is past the end of kernel {kernel_id}'s "
+                f"{array.size}-element array"
+            )
+        return offset
 
     def filter(self, kernel_id, array):
         self.call_count += 1
@@ -322,7 +319,7 @@ class OneShotPerturbation(KernelHook):
         if self.position() != (spec.step_index, spec.sweep_index, spec.node_index):
             return
         event = corrupt(
-            array, self._resolve_offset(array), kernel_id,
+            array, self._resolve_offset(kernel_id, array), kernel_id,
             bit=spec.bit if spec.mode == "type_b" else None, scale=spec.scale,
             call_index=self.call_count - 1, sim_time=self.sim_time, position=self.position(),
             run_id=self.run_id,

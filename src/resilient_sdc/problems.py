@@ -68,15 +68,16 @@ class LinearProblem:
         schedule = self.perturb_schedule
 
         def rhs(y, t):
+            hook = system.hook
             rate = self.s
-            if schedule and hook is not None:
+            if schedule:
                 rate = schedule.get((hook.sweep_index, hook.node_index), rate)
             out = rate * np.asarray(y, dtype=float)
-            if hook is not None:
-                hook.filter("derivative", out)
+            hook.filter("derivative", out)
             return out
 
-        return ODESystem(dimension=1, rhs=rhs, hook=hook)
+        system = ODESystem(rhs=rhs, hook=hook)
+        return system
 
     def initial_state(self):
         return np.array([self.y0])
@@ -160,10 +161,6 @@ class IgnitionSurrogate:
     def dx(self):
         return self.length / self.n_grid
 
-    @property
-    def dimension(self):
-        return 2 * self.n_grid
-
     def grid(self):
         """Cell-center coordinates."""
         return (np.arange(self.n_grid) + 0.5) * self.dx
@@ -225,14 +222,10 @@ class IgnitionSurrogate:
 
     def system(self, hook=None):
         def rhs(state, t):
-            return surrogate_rhs(state, t, self, hook)
+            return surrogate_rhs(state, t, self, system.hook)
 
-        return ODESystem(
-            dimension=self.dimension,
-            rhs=rhs,
-            realizability=self.realizability,
-            hook=hook,
-        )
+        system = ODESystem(rhs=rhs, realizability=self.realizability, hook=hook)
+        return system
 
     def initial_state(self):
         return gaussian_hotspot(self)
@@ -253,7 +246,7 @@ def gaussian_hotspot(cfg):
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def surrogate_rhs(state, t, cfg, hook=None):
+def surrogate_rhs(state, t, cfg, hook):
     """Kernelized right-hand side of the ignition surrogate.
 
     Every evaluation runs the six kernel stages in a fixed order and passes
@@ -270,29 +263,23 @@ def surrogate_rhs(state, t, cfg, hook=None):
     dx = cfg.dx
     fields = state.reshape(2, n)
     temperature, fuel = fields
-    if hook is not None:
-        hook.observe_state(state)
+    hook.observe_state(state)
 
     gradients = derivative_operator(fields, dx)
-    if hook is not None:
-        hook.filter("gradient_T", gradients[0])
-        hook.filter("gradient_Y", gradients[1])
+    hook.filter("gradient_T", gradients[0])
+    hook.filter("gradient_Y", gradients[1])
 
     fluxes = derivative_operator(gradients, dx)
     flux_t = cfg.alpha * fluxes[0]
-    if hook is not None:
-        hook.filter("diffusive_flux_T", flux_t)
+    hook.filter("diffusive_flux_T", flux_t)
     flux_y = cfg.diff * fluxes[1]
-    if hook is not None:
-        hook.filter("diffusive_flux_Y", flux_y)
+    hook.filter("diffusive_flux_Y", flux_y)
 
     omega = cfg.arrhenius_a * fuel * np.exp(-cfg.t_act / temperature)
-    if hook is not None:
-        hook.filter("reaction_rate", omega)
+    hook.filter("reaction_rate", omega)
 
     out = np.concatenate((flux_t + cfg.heat_release * omega, flux_y - omega))
-    if hook is not None:
-        hook.filter("assembly", out)
+    hook.filter("assembly", out)
     return out
 
 

@@ -19,7 +19,6 @@ from .sdc import integrate_step, march, non_finite_violation
 
 __all__ = [
     "ControllerConfig",
-    "StepCheckpoint",
     "converged",
     "controller_policy",
     "realizability_guard",
@@ -97,28 +96,19 @@ def realizability_guard(state, sys):
     return non_finite_violation(state)
 
 
-@dataclass(frozen=True)
-class StepCheckpoint:
-    """Solution vector and time cached at the start of an outer step."""
+def checkpointed_step(phi_n, t_start, dt, rule, sys, cfg):
+    """One controlled step from ``phi_n`` at ``t_start``, with rollback on
+    realizability failures.
 
-    cached_state: np.ndarray
-    cached_time: float
-
-    @classmethod
-    def capture(cls, state, time):
-        return cls(cached_state=np.array(state, dtype=float, copy=True), cached_time=float(time))
-
-
-def checkpointed_step(checkpoint, dt, rule, sys, cfg):
-    """One controlled step with rollback on realizability failures.
-
-    Runs the sweep loop under the acceptance controller; if any node state
-    turns non-realizable the step restarts from the (bit-identical) cached
-    checkpoint, up to ``cfg.max_restarts`` times, after which
-    UnrecoverableStepError is raised.  The fault hook is never rewound.
-    The accepted step's trace records whether it was capped: it reached
-    ``max_sweeps`` without meeting the residual test.
+    The start state is checkpointed once, as a copy that the caller's array
+    cannot reach.  The sweep loop runs under the acceptance controller; if
+    any node state turns non-realizable the step restarts from a copy of the
+    (bit-identical) checkpoint, up to ``cfg.max_restarts`` times, after
+    which UnrecoverableStepError is raised.  The fault hook is never
+    rewound.  The accepted step's trace records whether it was capped: it
+    reached ``max_sweeps`` without meeting the residual test.
     """
+    checkpoint = np.array(phi_n, dtype=float, copy=True)
     policy = controller_policy(cfg)
 
     def check(state):
@@ -128,8 +118,8 @@ def checkpointed_step(checkpoint, dt, rule, sys, cfg):
     while True:
         try:
             end_state, trace = integrate_step(
-                checkpoint.cached_state.copy(),
-                checkpoint.cached_time,
+                checkpoint.copy(),
+                t_start,
                 dt,
                 rule,
                 sys,
@@ -157,6 +147,6 @@ def integrate_resilient(phi_0, t0, t_end, dt, rule, sys, cfg):
     """
 
     def step(k, phi, t_k, h):
-        return checkpointed_step(StepCheckpoint.capture(phi, t_k), h, rule, sys, cfg)
+        return checkpointed_step(phi, t_k, h, rule, sys, cfg)
 
     return march(phi_0, t0, t_end, dt, sys, step)

@@ -78,8 +78,7 @@ def rk_step(phi_n, t, dt, tableau, sys):
     armed fault hook sees every stage exactly like an SDC sweep would."""
     phi_n = np.asarray(phi_n, dtype=float)
     hook = sys.hook
-    if hook is not None:
-        hook.begin_sweep(1)
+    hook.begin_sweep(1)
     k = np.empty((tableau.stages, phi_n.size))
     for i in range(tableau.stages):
         stage_state = phi_n + dt * (tableau.a[i, :i] @ k[:i])
@@ -87,8 +86,7 @@ def rk_step(phi_n, t, dt, tableau, sys):
             raise NonRealizableStateError(
                 "non-finite stage value", node_index=i, sweep_index=1
             )
-        if hook is not None:
-            hook.begin_node(i)
+        hook.begin_node(i)
         k[i] = sys.rhs(stage_state, t + tableau.c[i] * dt)
         if not np.isfinite(k[i]).all():
             raise NonRealizableStateError(

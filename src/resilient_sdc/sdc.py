@@ -16,6 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NonRealizableStateError, UnrecoverableStepError
+from .faults import KernelHook
 
 __all__ = [
     "ODESystem",
@@ -40,24 +41,28 @@ class ODESystem:
 
     ``realizability`` optionally maps a state to None (ok) or a string
     describing the violated bound; a non-finite state must count as a
-    violation too (``non_finite_violation`` describes one).  ``hook`` is an optional kernel-level
-    fault-injection observer; integrators notify it of the current
-    (step, sweep, node) position and kernelized right-hand sides pass their
-    return arrays through it.
+    violation too (``non_finite_violation`` describes one).  ``hook`` is the
+    kernel-level fault-injection observer, always present: a system built
+    without one gets a fresh, disarmed ``KernelHook``.  Integrators notify it
+    of the current (step, sweep, node) position and kernelized right-hand
+    sides pass their return arrays through it.
     """
 
-    dimension: int
     rhs: Callable[[np.ndarray, float], np.ndarray]
     realizability: Optional[Callable[[np.ndarray], Optional[str]]] = None
-    hook: object = None
+    hook: Optional[KernelHook] = None
+
+    def __post_init__(self):
+        if self.hook is None:
+            self.hook = KernelHook()
 
 
 @dataclass
 class NodeSolution:
     """Solution iterate over one step: states and cached rhs at every node."""
 
-    node_states: np.ndarray  # shape (num_nodes, dimension)
-    node_rhs: np.ndarray  # shape (num_nodes, dimension)
+    node_states: np.ndarray  # shape (num_nodes, state size)
+    node_rhs: np.ndarray  # shape (num_nodes, state size)
     t_start: float
     dt: float
     times: np.ndarray  # absolute time at each node
@@ -99,9 +104,7 @@ def predictor(phi_n, rule, sys, t_start, dt):
     times = t_start + dt * rule.nodes
     hook = sys.hook
     rhs = sys.rhs
-
-    if hook is not None:
-        hook.begin_sweep(1)
+    hook.begin_sweep(1)
 
     states = np.empty((num_nodes, phi_n.size))
     rhs_vals = np.empty_like(states)
@@ -112,8 +115,7 @@ def predictor(phi_n, rule, sys, t_start, dt):
             np.add(states[m - 1], (times[m] - times[m - 1]) * rhs_vals[m - 1], out=row)
         if not np.isfinite(row).all():
             raise NonRealizableStateError("non-finite state", node_index=m, sweep_index=1)
-        if hook is not None:
-            hook.begin_node(m)
+        hook.begin_node(m)
         f = rhs(row, times[m])
         if not np.isfinite(f).all():
             raise NonRealizableStateError(
@@ -125,7 +127,7 @@ def predictor(phi_n, rule, sys, t_start, dt):
     )
 
 
-def sdc_sweep(sol, rule, sys, *, sweep_index=None):
+def sdc_sweep(sol, rule, sys, *, sweep_index):
     """One deferred-correction pass over the nodes; returns the next iterate.
 
     Node 0 is left untouched and its cached rhs is reused, so a sweep costs
@@ -137,8 +139,7 @@ def sdc_sweep(sol, rule, sys, *, sweep_index=None):
     """
     hook = sys.hook
     rhs = sys.rhs
-    if hook is not None and sweep_index is not None:
-        hook.begin_sweep(sweep_index)
+    hook.begin_sweep(sweep_index)
 
     times = sol.times
     dt = sol.dt
@@ -154,8 +155,7 @@ def sdc_sweep(sol, rule, sys, *, sweep_index=None):
             raise NonRealizableStateError(
                 "non-finite state", node_index=m, sweep_index=sweep_index
             )
-        if hook is not None:
-            hook.begin_node(m)
+        hook.begin_node(m)
         f = rhs(row, times[m])
         if not np.isfinite(f).all():
             raise NonRealizableStateError(
@@ -295,8 +295,7 @@ def march(phi_0, t0, t_end, dt, sys, step):
     for k in range(len(boundaries) - 1):
         t_k = float(boundaries[k])
         h = float(boundaries[k + 1] - boundaries[k])
-        if hook is not None:
-            hook.begin_step(k, t_k)
+        hook.begin_step(k, t_k)
         try:
             phi, trace = step(k, phi, t_k, h)
         except (NonRealizableStateError, UnrecoverableStepError) as exc:

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from resilient_sdc import campaign
+from resilient_sdc import campaign, cli
 from resilient_sdc.campaign import RunConfig, run_campaign, run_single
 from resilient_sdc.faults import FaultConfig, OneShotSpec
 from resilient_sdc.problems import IgnitionSurrogate, write_snapshot_csv
@@ -223,3 +223,40 @@ def test_all_aborted_campaign_matches_the_reference(tmp_path, monkeypatch):
     assert [row["status"] for row in rows] == ["aborted", "aborted"]
     histogram = (tmp_path / "campaign" / "histogram.csv").read_bytes()
     assert histogram == b"bin_left,bin_right,count\r\n"
+
+
+def reference_sensitivity_csv(rows, out):
+    """The ``sensitivity.csv`` of ``resilient-sdc sense``, written into ``out``."""
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, "sensitivity.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["kernel", "final_peak_T", "deviation", "status"])
+        for row in rows:
+            writer.writerow(
+                [row["kernel"], repr(row["final_peak_T"]), repr(row["deviation"]), row["status"]]
+            )
+
+
+def test_sensitivity_table_matches_the_reference(tmp_path, monkeypatch):
+    seen = []
+    sweep = cli.sensitivity_sweep
+
+    def capture(*args, **kwargs):
+        seen.append(sweep(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "sensitivity_sweep", capture)
+    out, ref = tmp_path / "sense", tmp_path / "reference"
+    rc = cli.main([
+        "--output-dir", str(out),
+        "sense", "--integrator", "sdc_fixed", "--t-end", repr(8 * _DT), "--step", "2",
+        "--kernels", "gradient_T,diffusive_flux_T,assembly",
+    ])
+    assert rc == cli.EXIT_OK
+    (rows,) = seen
+    reference_sensitivity_csv(rows, str(ref))
+    written = (out / "sensitivity.csv").read_bytes()
+    assert written == (ref / "sensitivity.csv").read_bytes()
+    # at the default scale 1e4 one of these kernels crashes the run
+    assert b"\r\ndiffusive_flux_T,nan,nan,crashed\r\n" in written
+    assert written.count(b",completed\r\n") == 2

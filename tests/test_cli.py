@@ -214,3 +214,26 @@ def test_sense_subcommand_writes_sensitivity_table(tmp_path, capsys):
     assert len(rows) == 3
     for row in rows[1:]:
         assert row.split(",")[-1] in {"completed", "crashed"}
+
+
+def test_inject_offset_past_the_kernel_array_is_a_config_error(tmp_path, capsys):
+    rc = main([
+        "--output-dir", str(tmp_path / "out"),
+        "inject", "--t-end", "2e-4", "--kernel", "gradient_T", "--offset", "100000",
+    ])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert "config error" in err
+    assert "100000" in err and "gradient_T's 120-element array" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_inject_negative_offset_is_a_config_error(tmp_path, capsys):
+    rc = main([
+        "--output-dir", str(tmp_path / "out"),
+        "inject", "--t-end", "2e-4", "--kernel", "gradient_T", "--offset", "-1",
+    ])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert "config error" in err and "-1" in err
+    assert not (tmp_path / "out").exists()

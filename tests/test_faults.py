@@ -82,8 +82,6 @@ def test_fault_config_validation():
         FaultConfig(window=0)
     with pytest.raises(ValueError):
         FaultConfig(streams=0)
-    with pytest.raises(ValueError):
-        FaultConfig(targeted_bit=64)
 
 
 def test_one_shot_spec_validation():
@@ -91,7 +89,11 @@ def test_one_shot_spec_validation():
         OneShotSpec(mode="type_b")  # needs a bit index
     with pytest.raises(ValueError):
         OneShotSpec(mode="off")
+    for offset in (-1, 2.0, "hottest", None):
+        with pytest.raises(ValueError, match="non-negative int or 'max_T'"):
+            OneShotSpec(offset=offset)
     OneShotSpec(mode="type_b", bit=17)
+    OneShotSpec(offset="max_T")
 
 
 # ---------------------------------------------------------------------------
@@ -159,30 +161,6 @@ def test_multiple_streams_fire_independently():
     assert len(hook.events) == 2 * 5
 
 
-def test_targeted_kernel_filters_events():
-    cfg = FaultConfig(mode="type_a", window=10, seed=5, targeted_kernel="reaction_rate")
-    hook = FaultInjector(cfg)
-    for i in range(200):
-        kernel = "reaction_rate" if i % 2 == 0 else "assembly"
-        hook.filter(kernel, np.ones(4))
-    assert hook.events  # some windows land on the targeted kernel
-    assert all(ev.kernel_id == "reaction_rate" for ev in hook.events)
-    assert len(hook.events) <= 20
-
-
-def test_targeted_offset_and_bit_are_respected():
-    cfg = FaultConfig(
-        mode="type_b", window=10, seed=5, targeted_offset=3, targeted_bit=63
-    )
-    hook = FaultInjector(cfg)
-    _drive(hook, 40)
-    assert hook.events
-    for ev in hook.events:
-        assert ev.array_offset == 3
-        assert ev.bit_index == 63
-        assert ev.new_value == -ev.old_value
-
-
 def test_type_a_event_records_scale_and_mutation():
     cfg = FaultConfig(mode="type_a", window=5, seed=11, scale=1e4)
     hook = FaultInjector(cfg)
@@ -215,15 +193,13 @@ def _event_records(events):
 @pytest.mark.parametrize("window", [1, 2, 3, 96])
 @pytest.mark.parametrize("streams", [1, 3])
 @pytest.mark.parametrize("mode", ["off", "type_a", "type_b"])
-@pytest.mark.parametrize("targeted", [False, True])
-def test_filter_matches_a_maybe_inject_loop_call_by_call(window, streams, mode, targeted):
+@pytest.mark.parametrize("ragged", [False, True])
+def test_filter_matches_a_maybe_inject_loop_call_by_call(window, streams, mode, ragged):
     """The injector skips ``maybe_inject`` on calls that neither fire nor
     end a window; the events, arrays and window state stay those of calling
-    it on every call."""
-    targets = {}
-    if targeted:
-        targets = {"targeted_kernel": "reaction_rate", "targeted_bit": 60, "targeted_offset": 3}
-    cfg = FaultConfig(mode=mode, window=window, seed=17, streams=streams, **targets)
+    it on every call.  ``ragged`` varies the kernel array size from call to
+    call, down to one element, so the offset draws see every size."""
+    cfg = FaultConfig(mode=mode, window=window, seed=17, streams=streams)
     hook = FaultInjector(cfg, run_id=4)
     reference = [InjectionState.start(cfg, run_id=4, stream_id=s) for s in range(streams)]
     reference_events = []
@@ -233,7 +209,7 @@ def test_filter_matches_a_maybe_inject_loop_call_by_call(window, streams, mode, 
         hook.begin_step(call // 20, 0.5 * call)
         hook.begin_sweep(call % 5)
         hook.begin_node(call % 3)
-        values = rng.standard_normal(8)
+        values = rng.standard_normal(1 + call % 9 if ragged else 8)
         array, reference_array = values.copy(), values.copy()
         hook.filter(kernel, array)
         for stream in reference:
@@ -254,7 +230,7 @@ def test_filter_matches_a_maybe_inject_loop_call_by_call(window, streams, mode, 
     assert hook.streams[0].window_index >= 5
     if mode == "off":
         assert not hook.events
-    elif not targeted:
+    else:
         # one event per stream per window, the current window's if it fired
         completed = hook.streams[0].window_index
         assert streams * completed <= len(hook.events) <= streams * (completed + 1)

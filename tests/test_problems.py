@@ -21,7 +21,7 @@ from resilient_sdc.problems import (
     write_snapshot_csv,
 )
 from resilient_sdc.quadrature import lobatto_rule
-from resilient_sdc.sdc import integrate
+from resilient_sdc.sdc import integrate, predictor, sdc_sweep
 
 # ---------------------------------------------------------------------------
 # linear problem
@@ -54,10 +54,20 @@ def test_perturb_schedule_overrides_rate_at_one_position():
     np.testing.assert_array_equal(sys_.rhs(y, 0.0), [2.0])
 
 
-def test_schedule_is_inert_without_a_hook():
-    prob = LinearProblem(perturb_schedule={(1, 0): 100.0})
+def test_default_system_hook_tracks_the_position_and_applies_the_schedule():
+    """A system built without a hook gets its own, which the integrator
+    moves and the schedule reads."""
+    prob = LinearProblem(perturb_schedule={(2, 1): 100.0})
     sys_ = prob.system()
-    np.testing.assert_array_equal(sys_.rhs(np.array([1.0]), 0.0), [1.0])
+    rule = lobatto_rule(3)
+    sol = predictor(prob.initial_state(), rule, sys_, 0.0, 0.1)
+    assert sys_.hook.position() == (0, 1, 2)
+    np.testing.assert_array_equal(sol.node_rhs[:, 0], sol.node_states[:, 0])
+    sol = sdc_sweep(sol, rule, sys_, sweep_index=2)
+    assert sys_.hook.position() == (0, 2, 2)
+    assert sol.node_rhs[1, 0] == 100.0 * sol.node_states[1, 0]
+    assert sol.node_rhs[2, 0] == sol.node_states[2, 0]
+    assert sys_.hook.call_count == 5
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +251,7 @@ def _random_states(cfg, count, seed=42):
 def test_kernelized_and_monolithic_rhs_are_bitwise_identical():
     cfg = IgnitionSurrogate()
     for state in _random_states(cfg, 10):
-        kernelized = surrogate_rhs(state, 0.0, cfg, hook=None)
+        kernelized = surrogate_rhs(state, 0.0, cfg, hook=KernelHook())
         monolithic = surrogate_rhs_monolithic(state, 0.0, cfg)
         assert kernelized.tobytes() == monolithic.tobytes()
 
@@ -268,12 +278,16 @@ def test_stage_edits_reach_the_next_stage_as_in_the_reference():
 
 
 def test_disarmed_hook_does_not_change_the_rhs():
+    """The default system's hook only counts: its rhs has the bits of the
+    monolithic reference, one call per kernel stage."""
     cfg = IgnitionSurrogate()
     state = cfg.initial_state()
-    np.testing.assert_array_equal(
-        surrogate_rhs(state, 0.0, cfg, hook=KernelHook()),
-        surrogate_rhs_monolithic(state, 0.0, cfg),
-    )
+    sys_ = cfg.system()
+    assert type(sys_.hook) is KernelHook
+    out = sys_.rhs(state, 0.0)
+    assert out.tobytes() == surrogate_rhs_monolithic(state, 0.0, cfg).tobytes()
+    assert sys_.hook.call_count == len(KERNEL_IDS)
+    assert sys_.hook.events == []
 
 
 def test_corrupted_evaluation_raises_no_floating_point_warning():

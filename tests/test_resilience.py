@@ -12,7 +12,6 @@ from resilient_sdc.problems import IgnitionSurrogate, LinearProblem
 from resilient_sdc.quadrature import lobatto_rule
 from resilient_sdc.resilience import (
     ControllerConfig,
-    StepCheckpoint,
     checkpointed_step,
     controller_policy,
     converged,
@@ -197,12 +196,33 @@ def test_one_pass_guard_matches_the_four_pass_reference():
 
 
 def test_checkpoint_is_an_independent_bitwise_copy():
-    state = np.array([1.0, 2.0, 3.0])
-    checkpoint = StepCheckpoint.capture(state, 0.5)
-    np.testing.assert_array_equal(checkpoint.cached_state, state)
-    state[0] = 99.0
-    assert checkpoint.cached_state[0] == 1.0
-    assert checkpoint.cached_time == 0.5
+    """The step keeps its own copy of the start state: a caller that
+    mutates ``phi_n`` after the call (here, during the first attempt)
+    cannot reach the restart, which starts from the stored bits."""
+    prob = LinearProblem()
+    phi_n = np.array([1.25])
+    attempts = []
+
+    class Mutating(KernelHook):
+        def begin_sweep(self, sweep_index):
+            super().begin_sweep(sweep_index)
+            if sweep_index == 1:
+                attempts.append(None)
+
+        def filter(self, kernel_id, array):
+            super().filter(kernel_id, array)
+            if len(attempts) == 1 and self.node_index == 0:
+                phi_n[0] = 99.0  # the caller's array, after the call began
+                array[0] = np.inf  # and a fault that forces a restart
+
+    state, trace = checkpointed_step(phi_n, 0.5, 0.1, lobatto_rule(3),
+                                     prob.system(Mutating()), CFG)
+    clean_state, clean_trace = checkpointed_step(np.array([1.25]), 0.5, 0.1, lobatto_rule(3),
+                                                 prob.system(), CFG)
+    assert phi_n[0] == 99.0
+    assert trace.restarts == 1 and clean_trace.restarts == 0
+    assert state.tobytes() == clean_state.tobytes()
+    assert trace.residual_maxnorms == clean_trace.residual_maxnorms
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +258,8 @@ class _CorruptOnAttempts(KernelHook):
 def _surrogate_step(hook):
     prob = IgnitionSurrogate()
     sys_ = prob.system(hook)
-    rule = lobatto_rule(3)
-    checkpoint = StepCheckpoint.capture(prob.initial_state(), 0.0)
-    return checkpointed_step(checkpoint, prob.default_dt(), rule, sys_, CFG)
+    return checkpointed_step(prob.initial_state(), 0.0, prob.default_dt(), lobatto_rule(3),
+                             sys_, CFG)
 
 
 def test_restart_recovers_and_matches_the_clean_step():

@@ -188,6 +188,25 @@ def test_integrate_trajectory_layout(linear):
     assert abs(float(trajectory[-1][1][0]) - prob.exact(1.0)) < 2e-6
 
 
+def test_default_hook_counts_every_rhs_evaluation():
+    """A system built without a hook still has one, and it counts every
+    kernel call of a run."""
+    prob = LinearProblem()
+    sys_ = prob.system()
+    rhs, evaluations = sys_.rhs, []
+
+    def counted_rhs(y, t):
+        evaluations.append(t)
+        return rhs(y, t)
+
+    sys_.rhs = counted_rhs
+    integrate(prob.initial_state(), 0.0, 1.0, 0.1, lobatto_rule(3), sys_, 4)
+    # 10 steps: the predictor's 3 evaluations plus 2 per correction sweep
+    assert len(evaluations) == 10 * (3 + 3 * 2)
+    assert sys_.hook.call_count == len(evaluations)
+    assert sys_.hook.position() == (9, 4, 2)
+
+
 def test_integrate_accuracy_improves_with_sweeps(linear):
     prob, sys_, phi0 = linear
     rule = lobatto_rule(3)
@@ -354,7 +373,7 @@ def _solution_bytes(sol):
 def _signed_zero_system():
     """A small system whose rhs and states keep both signs of zero."""
     phi0 = np.array([0.0, -0.0, 1.5, -2.5, -0.0])
-    return ODESystem(dimension=phi0.size, rhs=lambda y, t: -y * (1.0 + t)), phi0
+    return ODESystem(rhs=lambda y, t: -y * (1.0 + t)), phi0
 
 
 def _bitwise_cases():
@@ -411,7 +430,7 @@ def _planted_system(plant, value):
             return np.full_like(y, value)
         return y * -1.0e-12
 
-    return ODESystem(dimension=3, rhs=rhs, hook=hook)
+    return ODESystem(rhs=rhs, hook=hook)
 
 
 def _run_sweeps(start, sweep, phi0, rule, sys_, sweeps):
