@@ -22,13 +22,14 @@ from .faults import (
 )
 from .problems import (
     KERNEL_IDS,
+    LINEAR_KERNEL_ID,
     IgnitionSurrogate,
     LinearProblem,
     ignition_metrics,
     write_snapshot_csv,
 )
 from .quadrature import lobatto_rule
-from .resilience import ControllerConfig, integrate_resilient, realizability_guard
+from .resilience import ControllerConfig, integrate_resilient
 from .rk import classical_rk4, rk_integrate
 from .sdc import integrate, step_times
 
@@ -91,6 +92,13 @@ class RunConfig:
             raise ValueError("t_end must not precede t_start")
         if self.output_every < 1:
             raise ValueError(f"output_every must be >= 1, got {self.output_every}")
+        if self.one_shot is not None:
+            kernels = (LINEAR_KERNEL_ID,) if self.problem == "linear" else KERNEL_IDS
+            if self.one_shot.kernel_id not in kernels:
+                raise ValueError(
+                    f"one-shot kernel must be one of {kernels} for the {self.problem} problem, "
+                    f"got {self.one_shot.kernel_id!r}"
+                )
         return self
 
     def resolved_dt(self):
@@ -199,10 +207,6 @@ def run_single(cfg):
     t_end = cfg.resolved_t_end()
     rule = lobatto_rule(cfg.num_nodes)
 
-    guard = None
-    if cfg.problem == "ignition":
-        guard = lambda state: realizability_guard(state, sys)  # noqa: E731
-
     error_history = []
     sweep_observer = None
     if cfg.problem == "linear" and cfg.integrator == "sdc_fixed":
@@ -216,20 +220,10 @@ def run_single(cfg):
     status, error, aborted = "clean", None, None
     try:
         if cfg.integrator == "rk":
-            trajectory = rk_integrate(
-                phi0, cfg.t_start, t_end, dt, classical_rk4(), sys, state_check=guard
-            )
+            trajectory = rk_integrate(phi0, cfg.t_start, t_end, dt, classical_rk4(), sys)
         elif cfg.integrator == "sdc_fixed":
             trajectory, traces = integrate(
-                phi0,
-                cfg.t_start,
-                t_end,
-                dt,
-                rule,
-                sys,
-                cfg.sweeps,
-                state_check=guard,
-                sweep_observer=sweep_observer,
+                phi0, cfg.t_start, t_end, dt, rule, sys, cfg.sweeps, sweep_observer=sweep_observer
             )
         else:
             trajectory, traces = integrate_resilient(
@@ -453,7 +447,8 @@ def sensitivity_sweep(cfg, kernels=None, *, step_index=None):
     the hottest gridpoint, during the first rhs evaluation of the chosen
     step.  Returns one row per kernel with the final-peak deviation; a
     kernel whose hook never fires is reported with zero deviation and a
-    logged warning.
+    logged warning.  Every kernel's run is configured and validated before
+    the baseline runs, so an unknown kernel id fails at once.
     """
     cfg.validate()
     if cfg.problem != "ignition":
@@ -464,21 +459,17 @@ def sensitivity_sweep(cfg, kernels=None, *, step_index=None):
         step_index = max(n_steps // 3, 0)
 
     base_cfg = replace(cfg, one_shot=None, fault=replace(cfg.fault, mode="off"), output_dir=None)
+    spec = OneShotSpec(step_index=step_index, sweep_index=1, node_index=0, offset="max_T",
+                       mode="type_a", scale=cfg.fault.scale)
+    kernel_cfgs = [
+        replace(base_cfg, one_shot=replace(spec, kernel_id=kernel)).validate() for kernel in kernels
+    ]
     baseline = run_single(base_cfg)
     base_peak = baseline.metrics["final_peak_T"]
 
     rows = []
-    for kernel in kernels:
-        spec = OneShotSpec(
-            step_index=step_index,
-            sweep_index=1,
-            node_index=0,
-            kernel_id=kernel,
-            offset="max_T",
-            mode="type_a",
-            scale=cfg.fault.scale,
-        )
-        report = run_single(replace(base_cfg, one_shot=spec))
+    for kernel, kernel_cfg in zip(kernels, kernel_cfgs):
+        report = run_single(kernel_cfg)
         if report.status == "aborted":
             rows.append(
                 {

@@ -29,7 +29,7 @@ from .campaign import (
     sensitivity_sweep,
 )
 from .faults import FaultConfig, OneShotSpec
-from .problems import KERNEL_IDS
+from .problems import KERNEL_IDS, LINEAR_KERNEL_ID
 from .resilience import ControllerConfig
 
 EXIT_OK = 0
@@ -233,8 +233,7 @@ def _write_sense_csv(out_dir, rows):
 
 def _cmd_inject(args, config, out_dir):
     cfg = _base_run_config(args, config, out_dir=out_dir)
-    problem = cfg.problem
-    default_kernel = "derivative" if problem == "linear" else "assembly"
+    default_kernel = LINEAR_KERNEL_ID if cfg.problem == "linear" else "assembly"
     offset = _pick(args, config, "offset", 0)
     if offset != "max_T":
         offset = int(offset)

@@ -278,6 +278,10 @@ class OneShotSpec:
     bit: Optional[int] = None
 
     def __post_init__(self):
+        for name, lowest in (("step_index", 0), ("sweep_index", 1), ("node_index", 0)):
+            value = getattr(self, name)
+            if value < lowest:
+                raise ValueError(f"one-shot {name} must be >= {lowest}, got {value}")
         if self.offset != "max_T" and not (isinstance(self.offset, int) and self.offset >= 0):
             raise ValueError(
                 f"one-shot offset must be a non-negative int or 'max_T', got {self.offset!r}"

@@ -23,6 +23,7 @@ __all__ = [
     "LinearProblem",
     "IgnitionSurrogate",
     "KERNEL_IDS",
+    "LINEAR_KERNEL_ID",
     "gaussian_hotspot",
     "derivative_operator",
     "surrogate_rhs",
@@ -44,6 +45,9 @@ KERNEL_IDS = (
     "reaction_rate",
     "assembly",
 )
+
+# The linear problem's single kernel: its whole rhs.
+LINEAR_KERNEL_ID = "derivative"
 
 
 def linear_exact(t, s=1.0, y0=1.0):
@@ -73,7 +77,7 @@ class LinearProblem:
             if schedule:
                 rate = schedule.get((hook.sweep_index, hook.node_index), rate)
             out = rate * np.asarray(y, dtype=float)
-            hook.filter("derivative", out)
+            hook.filter(LINEAR_KERNEL_ID, out)
             return out
 
         system = ODESystem(rhs=rhs, hook=hook)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonRealizableStateError, UnrecoverableStepError
-from .sdc import integrate_step, march, non_finite_violation
+from .sdc import integrate_step, march, realizability_guard
 
 __all__ = [
     "ControllerConfig",
@@ -84,25 +84,14 @@ def controller_policy(cfg):
     return keep_sweeping
 
 
-def realizability_guard(state, sys):
-    """None when the state is realizable, else a violation description.
-
-    Non-finite components are always violations: a system's own
-    ``realizability`` check reports them (see ODESystem), and a system
-    without one gets a finite-check here.
-    """
-    if sys.realizability is not None:
-        return sys.realizability(state)
-    return non_finite_violation(state)
-
-
 def checkpointed_step(phi_n, t_start, dt, rule, sys, cfg):
     """One controlled step from ``phi_n`` at ``t_start``, with rollback on
     realizability failures.
 
     The start state is checkpointed once, as a copy that the caller's array
     cannot reach.  The sweep loop runs under the acceptance controller; if
-    any node state turns non-realizable the step restarts from a copy of the
+    any node state turns non-finite or fails the system's ``realizability``
+    (``integrate_step`` checks both), the step restarts from a copy of the
     (bit-identical) checkpoint, up to ``cfg.max_restarts`` times, after
     which UnrecoverableStepError is raised.  The fault hook is never
     rewound.  The accepted step's trace records whether it was capped: it
@@ -110,22 +99,10 @@ def checkpointed_step(phi_n, t_start, dt, rule, sys, cfg):
     """
     checkpoint = np.array(phi_n, dtype=float, copy=True)
     policy = controller_policy(cfg)
-
-    def check(state):
-        return realizability_guard(state, sys)
-
     restarts = 0
     while True:
         try:
-            end_state, trace = integrate_step(
-                checkpoint.copy(),
-                t_start,
-                dt,
-                rule,
-                sys,
-                policy,
-                state_check=check,
-            )
+            end_state, trace = integrate_step(checkpoint.copy(), t_start, dt, rule, sys, policy)
             trace.restarts = restarts
             trace.capped = not converged(trace.residual_maxnorms, cfg)
             return end_state, trace

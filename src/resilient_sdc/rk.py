@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonRealizableStateError
-from .sdc import march
+from .sdc import march, realizability_guard
 
 __all__ = ["ButcherTableau", "classical_rk4", "rk_step", "rk_integrate"]
 
@@ -95,17 +95,18 @@ def rk_step(phi_n, t, dt, tableau, sys):
     return phi_n + dt * (tableau.b @ k)
 
 
-def rk_integrate(phi_0, t0, t_end, dt, tableau, sys, *, state_check=None):
+def rk_integrate(phi_0, t0, t_end, dt, tableau, sys):
     """Fixed-step RK integration; returns a (time, state) trajectory.
 
-    ``state_check`` is applied to each accepted step state; a violation
-    raises NonRealizableStateError (there is no recovery path here).
+    The system's ``realizability``, when set, is applied to each step's end
+    state; a violation raises NonRealizableStateError (there is no recovery
+    path here).
     """
 
     def step(k, phi, t_k, h):
         phi = rk_step(phi, t_k, h, tableau, sys)
-        if state_check is not None:
-            violation = state_check(phi)
+        if sys.realizability is not None:
+            violation = realizability_guard(phi, sys)
             if violation is not None:
                 raise NonRealizableStateError(violation, sweep_index=1)
         return phi, None

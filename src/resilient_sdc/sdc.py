@@ -26,6 +26,7 @@ __all__ = [
     "sdc_sweep",
     "residual",
     "non_finite_violation",
+    "realizability_guard",
     "residual_max_norm",
     "fixed_sweeps",
     "integrate_step",
@@ -41,7 +42,9 @@ class ODESystem:
 
     ``realizability`` optionally maps a state to None (ok) or a string
     describing the violated bound; a non-finite state must count as a
-    violation too (``non_finite_violation`` describes one).  ``hook`` is the
+    violation too (``non_finite_violation`` describes one).  It is the only
+    state check: every integrator (``integrate``, ``rk_integrate``,
+    ``integrate_resilient``) applies it when it is set.  ``hook`` is the
     kernel-level fault-injection observer, always present: a system built
     without one gets a fresh, disarmed ``KernelHook``.  Integrators notify it
     of the current (step, sweep, node) position and kernelized right-hand
@@ -63,7 +66,6 @@ class NodeSolution:
 
     node_states: np.ndarray  # shape (num_nodes, state size)
     node_rhs: np.ndarray  # shape (num_nodes, state size)
-    t_start: float
     dt: float
     times: np.ndarray  # absolute time at each node
 
@@ -89,6 +91,20 @@ def non_finite_violation(state):
     if finite.all():
         return None
     return f"non-finite value at component {int(np.argmin(finite))}"
+
+
+def realizability_guard(state, sys):
+    """None when the state is realizable, else a violation description.
+
+    Non-finite components are always violations: a system's own
+    ``realizability`` check reports them (see ODESystem), and a system
+    without one gets a finite-check here.  The integrators call it only for
+    systems with a ``realizability``: they finite-check every state before
+    its rhs evaluation already.
+    """
+    if sys.realizability is not None:
+        return sys.realizability(state)
+    return non_finite_violation(state)
 
 
 def predictor(phi_n, rule, sys, t_start, dt):
@@ -122,9 +138,7 @@ def predictor(phi_n, rule, sys, t_start, dt):
                 "non-finite rhs evaluation", node_index=m, sweep_index=1
             )
         rhs_vals[m] = f
-    return NodeSolution(
-        node_states=states, node_rhs=rhs_vals, t_start=t_start, dt=dt, times=times
-    )
+    return NodeSolution(node_states=states, node_rhs=rhs_vals, dt=dt, times=times)
 
 
 def sdc_sweep(sol, rule, sys, *, sweep_index):
@@ -162,13 +176,7 @@ def sdc_sweep(sol, rule, sys, *, sweep_index):
                 "non-finite rhs evaluation", node_index=m, sweep_index=sweep_index
             )
         new_rhs[m] = f
-    return NodeSolution(
-        node_states=states,
-        node_rhs=new_rhs,
-        t_start=sol.t_start,
-        dt=dt,
-        times=times,
-    )
+    return NodeSolution(node_states=states, node_rhs=new_rhs, dt=dt, times=times)
 
 
 def residual(sol, rule):
@@ -191,16 +199,17 @@ def residual_max_norm(sol, rule):
     return float(np.abs(r, out=r).max())
 
 
-def _check_states(sol, state_check, sweep_index, *, first_node=0):
-    """Apply ``state_check`` to the node states from ``first_node`` on.
+def _check_states(sol, sys, sweep_index, *, first_node=0):
+    """Apply the system's realizability guard to the node states from
+    ``first_node`` on, if the system has a ``realizability``.
 
     Correction sweeps pass ``first_node=1``: they never write node 0, which
     still holds the step's start state that the predictor's check passed.
     """
-    if state_check is None:
+    if sys.realizability is None:
         return
     for m in range(first_node, sol.node_states.shape[0]):
-        violation = state_check(sol.node_states[m])
+        violation = realizability_guard(sol.node_states[m], sys)
         if violation is not None:
             raise NonRealizableStateError(
                 violation, node_index=m, sweep_index=sweep_index
@@ -215,31 +224,21 @@ def fixed_sweeps(count):
     return lambda norms: len(norms) < count
 
 
-def integrate_step(
-    phi_n,
-    t_start,
-    dt,
-    rule,
-    sys,
-    keep_sweeping,
-    *,
-    state_check=None,
-    sweep_observer=None,
-):
+def integrate_step(phi_n, t_start, dt, rule, sys, keep_sweeping, *, sweep_observer=None):
     """Advance one step: predictor plus sweeps while the policy asks for more.
 
     ``keep_sweeping`` maps the list of recorded residual max-norms to True
     (sweep again) or False (accept); ``fixed_sweeps(n)`` makes one for a
-    fixed count.  ``state_check`` optionally maps a node state to a
-    violation description; a violation raises NonRealizableStateError.
-    ``sweep_observer`` is called with (sweep_index, NodeSolution) after
-    every sweep, for diagnostics.
+    fixed count.  The system's ``realizability``, when set, is applied to
+    the node states after every sweep; a violation raises
+    NonRealizableStateError.  ``sweep_observer`` is called with
+    (sweep_index, NodeSolution) after every sweep, for diagnostics.
 
     Returns (end state, SweepTrace).  The trace records the residual
     max-norm after the predictor and after every correction sweep.
     """
     sol = predictor(phi_n, rule, sys, t_start, dt)
-    _check_states(sol, state_check, 1)
+    _check_states(sol, sys, 1)
     trace = SweepTrace(residual_maxnorms=[residual_max_norm(sol, rule)], sweeps_taken=1)
     if sweep_observer is not None:
         sweep_observer(1, sol)
@@ -247,7 +246,7 @@ def integrate_step(
     while keep_sweeping(trace.residual_maxnorms):
         sweep_index = trace.sweeps_taken + 1
         sol = sdc_sweep(sol, rule, sys, sweep_index=sweep_index)
-        _check_states(sol, state_check, sweep_index, first_node=1)
+        _check_states(sol, sys, sweep_index, first_node=1)
         trace.residual_maxnorms.append(residual_max_norm(sol, rule))
         trace.sweeps_taken = sweep_index
         if sweep_observer is not None:
@@ -307,13 +306,12 @@ def march(phi_0, t0, t_end, dt, sys, step):
     return trajectory, traces
 
 
-def integrate(
-    phi_0, t0, t_end, dt, rule, sys, sweeps, *, state_check=None, sweep_observer=None
-):
+def integrate(phi_0, t0, t_end, dt, rule, sys, sweeps, *, sweep_observer=None):
     """Fixed-step integration over [t0, t_end] without checkpoint recovery.
 
-    Every step takes ``sweeps`` sweeps, predictor included.  Returns
-    (trajectory, traces) as ``march`` does; realizability failures
+    Every step takes ``sweeps`` sweeps, predictor included, and the
+    system's ``realizability``, when set, is applied to every node state.
+    Returns (trajectory, traces) as ``march`` does; realizability failures
     propagate with the step index and the completed steps' traces attached.
     ``sweep_observer``, when given, is called as (step_index, sweep_index,
     NodeSolution) after every sweep.
@@ -324,7 +322,6 @@ def integrate(
         observer = None
         if sweep_observer is not None:
             observer = lambda sweep, sol: sweep_observer(k, sweep, sol)  # noqa: E731
-        return integrate_step(phi, t_k, h, rule, sys, keep_sweeping, state_check=state_check,
-                              sweep_observer=observer)
+        return integrate_step(phi, t_k, h, rule, sys, keep_sweeping, sweep_observer=observer)
 
     return march(phi_0, t0, t_end, dt, sys, step)

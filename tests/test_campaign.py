@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import resilient_sdc.campaign as campaign_module
 from resilient_sdc.campaign import (
     RunConfig,
     convergence_study,
@@ -17,7 +18,7 @@ from resilient_sdc.campaign import (
     summarize,
 )
 from resilient_sdc.faults import FaultConfig, OneShotSpec
-from resilient_sdc.problems import KERNEL_IDS
+from resilient_sdc.problems import KERNEL_IDS, LINEAR_KERNEL_ID
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -85,6 +86,24 @@ def test_run_config_validation():
         RunConfig(t_end=-1.0).validate()
     with pytest.raises(ValueError):
         RunConfig(output_every=0).validate()
+    # a one-shot fault names a kernel of the run's problem
+    for kernel in KERNEL_IDS:
+        RunConfig(one_shot=OneShotSpec(kernel_id=kernel)).validate()
+    RunConfig(problem="linear", one_shot=OneShotSpec(kernel_id=LINEAR_KERNEL_ID)).validate()
+    for problem, kernel in (("ignition", LINEAR_KERNEL_ID), ("ignition", "no_such_kernel"),
+                            ("linear", "assembly")):
+        with pytest.raises(ValueError, match=f"one-shot kernel must be one of .* got '{kernel}'"):
+            RunConfig(problem=problem, one_shot=OneShotSpec(kernel_id=kernel)).validate()
+
+
+def test_sensitivity_sweep_checks_its_kernels_before_any_run(monkeypatch):
+    runs = []
+    monkeypatch.setattr(campaign_module, "run_single", runs.append)
+    with pytest.raises(ValueError, match="no_such_kernel"):
+        sensitivity_sweep(_ignition_cfg(), kernels=["assembly", "no_such_kernel"], step_index=1)
+    with pytest.raises(ValueError, match="step_index"):
+        sensitivity_sweep(_ignition_cfg(), kernels=["assembly"], step_index=-1)
+    assert runs == []
 
 
 def test_campaign_rejects_empty_run_count():

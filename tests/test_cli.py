@@ -228,6 +228,25 @@ def test_inject_offset_past_the_kernel_array_is_a_config_error(tmp_path, capsys)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sense", "--integrator", "sdc_fixed", "--t-end", "1.6e-4", "--step", "1",
+          "--kernels", "no_such_kernel,assembly"], "got 'no_such_kernel'"),
+        (["inject", "--t-end", "1.6e-4", "--kernel", "no_such_kernel"], "got 'no_such_kernel'"),
+        (["inject", "--step", "-1"], "step_index must be >= 0, got -1"),
+        (["inject", "--sweep", "0"], "sweep_index must be >= 1, got 0"),
+        (["inject", "--problem", "linear", "--kernel", "assembly"], "got 'assembly'"),
+    ],
+)
+def test_impossible_one_shot_faults_are_config_errors(tmp_path, capsys, argv, message):
+    rc = main(["--output-dir", str(tmp_path / "out"), *argv])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert err.startswith("config error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_inject_negative_offset_is_a_config_error(tmp_path, capsys):
     rc = main([
         "--output-dir", str(tmp_path / "out"),

@@ -92,6 +92,10 @@ def test_one_shot_spec_validation():
     for offset in (-1, 2.0, "hottest", None):
         with pytest.raises(ValueError, match="non-negative int or 'max_T'"):
             OneShotSpec(offset=offset)
+    # no kernel call happens at sweep 0: the predictor is sweep 1
+    for field, value in (("step_index", -1), ("sweep_index", 0), ("node_index", -1)):
+        with pytest.raises(ValueError, match=f"one-shot {field} must be >= "):
+            OneShotSpec(**{field: value})
     OneShotSpec(mode="type_b", bit=17)
     OneShotSpec(offset="max_T")
 

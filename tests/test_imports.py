@@ -1,6 +1,7 @@
-"""What a fresh process loads: the package root imports no submodule, and
-setting up a run loads neither ``numpy.ma`` nor the standard-library modules
-that only the artifact writers and the campaign tooling use.
+"""What a fresh process loads: the package root imports no submodule, the
+integrators load no ``resilient_sdc.resilience``, and setting up a run loads
+neither ``numpy.ma`` nor the standard-library modules that only the artifact
+writers and the campaign tooling use.
 
 Each check runs in a new interpreter, so ``sys.modules`` starts clean.
 """
@@ -41,6 +42,13 @@ def test_package_root_imports_no_submodule():
     added = _modules_added_by("import resilient_sdc")
     assert "resilient_sdc" in added
     assert sorted(m for m in added if m.startswith("resilient_sdc.")) == []
+
+
+def test_integrators_load_no_resilience_module():
+    for module in ("resilient_sdc.sdc", "resilient_sdc.rk"):
+        added = _modules_added_by(f"import {module}")
+        assert module in added
+        assert "resilient_sdc.resilience" not in added
 
 
 def test_run_setup_loads_only_what_a_run_uses():

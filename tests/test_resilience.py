@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import resilient_sdc.resilience as resilience_module
+import resilient_sdc.sdc as sdc_module
 from resilient_sdc.campaign import RunConfig, run_single
 from resilient_sdc.errors import NonRealizableStateError, UnrecoverableStepError
 from resilient_sdc.faults import FaultConfig, KernelHook
@@ -18,6 +20,7 @@ from resilient_sdc.resilience import (
     integrate_resilient,
     realizability_guard,
 )
+from resilient_sdc.rk import classical_rk4, rk_integrate
 from resilient_sdc.sdc import integrate
 
 CFG = ControllerConfig()
@@ -137,6 +140,56 @@ def test_guard_without_bounds_rejects_non_finite_components():
     sys_ = LinearProblem().system()
     assert realizability_guard(np.array([1.0, -2.0]), sys_) is None
     assert realizability_guard(np.array([1.0, np.inf]), sys_) == "non-finite value at component 1"
+
+
+def test_resilience_reexports_the_sdc_guard():
+    assert realizability_guard is sdc_module.realizability_guard
+
+
+def _bounded_linear_system():
+    """y' = y whose own realizability rejects y > 1.5.  exp(t) passes 1.5 at
+    t = 0.405, so with dt = 0.1 step 4 is the first whose node states (SDC,
+    node 1 at t = 0.45) or end state (RK, at t = 0.5) fail."""
+    sys_ = LinearProblem().system()
+    sys_.realizability = lambda state: "y above 1.5" if float(state[0]) > 1.5 else None
+    return sys_
+
+
+def test_every_integrator_applies_the_system_realizability():
+    phi0 = LinearProblem().initial_state()
+    rule = lobatto_rule(3)
+    with pytest.raises(NonRealizableStateError) as plain:
+        integrate(phi0, 0.0, 1.0, 0.1, rule, _bounded_linear_system(), 4)
+    with pytest.raises(NonRealizableStateError) as rk:
+        rk_integrate(phi0, 0.0, 1.0, 0.1, classical_rk4(), _bounded_linear_system())
+    with pytest.raises(UnrecoverableStepError) as resilient:
+        integrate_resilient(phi0, 0.0, 1.0, 0.1, rule, _bounded_linear_system(), CFG)
+    assert plain.value.step_index == rk.value.step_index == resilient.value.step_index == 4
+    assert plain.value.detail == rk.value.detail == resilient.value.__cause__.detail
+    assert plain.value.detail == "y above 1.5"
+    assert resilient.value.detail == "step failed realizability after retries: y above 1.5"
+    assert (plain.value.sweep_index, plain.value.node_index) == (1, 1)
+    assert (rk.value.sweep_index, rk.value.node_index) == (1, None)
+
+
+def test_resilient_linear_run_calls_no_guard(monkeypatch):
+    calls = []
+
+    def counted_guard(state, sys):
+        calls.append(state)
+        return realizability_guard(state, sys)
+
+    for module in (sdc_module, resilience_module):
+        monkeypatch.setattr(module, "realizability_guard", counted_guard, raising=False)
+    report = run_single(RunConfig(problem="linear", integrator="sdc_resilient"))
+    assert report.metrics["steps"] == 10
+    assert calls == []
+    # an ignition run, whose system has a realizability, is checked at every
+    # node after the predictor and at nodes 1 and 2 after each sweep
+    dt = IgnitionSurrogate().default_dt()
+    report = run_single(RunConfig(integrator="sdc_resilient", t_end=2 * dt))
+    assert len(calls) == sum(3 + 2 * (trace.sweeps_taken - 1) for trace in report.traces)
+    assert len(calls) > 0
 
 
 def _four_pass_guard(state, prob):

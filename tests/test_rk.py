@@ -82,10 +82,10 @@ def test_state_check_violation_aborts():
     def check(state):
         return "over threshold" if float(state[0]) > 2.0 else None
 
+    sys_ = prob.system()
+    sys_.realizability = check
     with pytest.raises(NonRealizableStateError) as excinfo:
-        rk_integrate(
-            prob.initial_state(), 0.0, 1.0, 0.1, classical_rk4(), prob.system(), state_check=check
-        )
+        rk_integrate(prob.initial_state(), 0.0, 1.0, 0.1, classical_rk4(), sys_)
     assert excinfo.value.step_index is not None
     # exp(t) passes 2.0 at t = 0.693, so step 6 (ending at t = 0.7) is the
     # first whose end state fails; RK keeps no traces

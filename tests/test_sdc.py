@@ -11,7 +11,6 @@ from resilient_sdc.errors import NonRealizableStateError
 from resilient_sdc.faults import KernelHook
 from resilient_sdc.problems import KERNEL_IDS, IgnitionSurrogate, LinearProblem
 from resilient_sdc.quadrature import lobatto_rule
-from resilient_sdc.resilience import realizability_guard
 from resilient_sdc.sdc import (
     NodeSolution,
     ODESystem,
@@ -223,8 +222,9 @@ def test_state_check_violation_aborts_with_step_index(linear):
     def check(state):
         return "too large" if float(np.max(state)) > 1.5 else None
 
+    sys_.realizability = check
     with pytest.raises(NonRealizableStateError) as excinfo:
-        integrate(phi0, 0.0, 1.0, 0.1, lobatto_rule(3), sys_, 4, state_check=check)
+        integrate(phi0, 0.0, 1.0, 0.1, lobatto_rule(3), sys_, 4)
     assert excinfo.value.step_index is not None
     assert "too large" in str(excinfo.value)
     # exp(t) passes 1.5 at t = 0.405, inside step 4: the four completed
@@ -264,14 +264,15 @@ def test_state_checks_skip_node_zero_after_the_predictor():
 
     def check(state):
         log.append(("check", state.copy()))
-        return realizability_guard(state, sys_)
+        return prob.realizability(state)
 
     def observe(sweep, sol):
         log.append(("sweep", sweep, sol.node_states.copy()))
 
     sweeps = 4
+    sys_.realizability = check
     integrate_step(prob.initial_state(), 0.0, prob.default_dt(), rule, sys_, fixed_sweeps(sweeps),
-                   state_check=check, sweep_observer=observe)
+                   sweep_observer=observe)
     checks_per_sweep, checked = [], []
     for entry in log:
         if entry[0] == "check":
@@ -294,8 +295,7 @@ def test_unrealizable_start_aborts_at_the_predictor_node_zero():
     phi0 = prob.initial_state()
     phi0[0] = prob.t_max + 1.0
     with pytest.raises(NonRealizableStateError) as excinfo:
-        integrate(phi0, 0.0, 3 * prob.default_dt(), prob.default_dt(), lobatto_rule(3), sys_, 4,
-                  state_check=lambda state: realizability_guard(state, sys_))
+        integrate(phi0, 0.0, 3 * prob.default_dt(), prob.default_dt(), lobatto_rule(3), sys_, 4)
     error = excinfo.value
     assert (error.step_index, error.sweep_index, error.node_index) == (0, 1, 0)
     assert str(error) == "temperature above 2750.0 at component 0 (step 0, sweep 1, node 0)"
@@ -333,7 +333,7 @@ def _reference_predictor(phi_n, rule, sys, t_start, dt):
         if not np.isfinite(states[m + 1]).all():
             raise NonRealizableStateError("non-finite state", node_index=m + 1, sweep_index=1)
         rhs_vals[m + 1] = evaluate(states[m + 1], m + 1)
-    return NodeSolution(states, rhs_vals, t_start, dt, times)
+    return NodeSolution(states, rhs_vals, dt, times)
 
 
 def _reference_sweep(sol, rule, sys, *, sweep_index=None):
@@ -358,7 +358,7 @@ def _reference_sweep(sol, rule, sys, *, sweep_index=None):
                 "non-finite rhs evaluation", node_index=m + 1, sweep_index=sweep_index
             )
         new_rhs[m + 1] = f
-    return NodeSolution(new_states, new_rhs, sol.t_start, sol.dt, times)
+    return NodeSolution(new_states, new_rhs, sol.dt, times)
 
 
 def _reference_residual(sol, rule):
