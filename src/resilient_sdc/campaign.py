@@ -86,6 +86,10 @@ class RunConfig:
             raise ValueError(f"num_nodes must be >= 2, got {self.num_nodes}")
         if self.sweeps < 1:
             raise ValueError(f"sweeps must be >= 1, got {self.sweeps}")
+        for name in ("dt", "t_start", "t_end"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.dt is not None and self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_end is not None and self.t_end < self.t_start:

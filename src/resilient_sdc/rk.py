@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonRealizableStateError
-from .sdc import march, realizability_guard
+from .sdc import all_finite, march, realizability_guard
 
 __all__ = ["ButcherTableau", "classical_rk4", "rk_step", "rk_integrate"]
 
@@ -81,18 +81,18 @@ def rk_step(phi_n, t, dt, tableau, sys):
     hook.begin_sweep(1)
     k = np.empty((tableau.stages, phi_n.size))
     for i in range(tableau.stages):
-        stage_state = phi_n + dt * (tableau.a[i, :i] @ k[:i])
-        if not np.isfinite(stage_state).all():
+        stage_state = phi_n + dt * tableau.a[i, :i].dot(k[:i])
+        if not all_finite(stage_state):
             raise NonRealizableStateError(
                 "non-finite stage value", node_index=i, sweep_index=1
             )
         hook.begin_node(i)
         k[i] = sys.rhs(stage_state, t + tableau.c[i] * dt)
-        if not np.isfinite(k[i]).all():
+        if not all_finite(k[i]):
             raise NonRealizableStateError(
                 "non-finite stage rhs", node_index=i, sweep_index=1
             )
-    return phi_n + dt * (tableau.b @ k)
+    return phi_n + dt * tableau.b.dot(k)
 
 
 def rk_integrate(phi_0, t0, t_end, dt, tableau, sys):

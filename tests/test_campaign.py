@@ -86,6 +86,10 @@ def test_run_config_validation():
         RunConfig(t_end=-1.0).validate()
     with pytest.raises(ValueError):
         RunConfig(output_every=0).validate()
+    for name in ("dt", "t_start", "t_end"):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                RunConfig(**{name: value}).validate()
     # a one-shot fault names a kernel of the run's problem
     for kernel in KERNEL_IDS:
         RunConfig(one_shot=OneShotSpec(kernel_id=kernel)).validate()

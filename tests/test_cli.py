@@ -256,3 +256,19 @@ def test_inject_negative_offset_is_a_config_error(tmp_path, capsys):
     assert rc == EXIT_CONFIG
     assert "config error" in err and "-1" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [("--dt", "inf", "dt"), ("--t-end", "inf", "t_end"), ("--dt", "nan", "dt"),
+     ("--t-end", "nan", "t_end")],
+)
+def test_non_finite_times_are_config_errors(tmp_path, capsys, flag, value, field):
+    rc = main([
+        "--output-dir", str(tmp_path / "out"),
+        "ignite", "--problem", "linear", "--integrator", "rk", flag, value,
+    ])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert err.startswith(f"config error: {field} must be finite, got {value}")
+    assert not (tmp_path / "out").exists()

@@ -172,6 +172,33 @@ def test_every_integrator_applies_the_system_realizability():
     assert (rk.value.sweep_index, rk.value.node_index) == (1, None)
 
 
+@pytest.mark.parametrize("integrator", ["sdc", "rk", "sdc_resilient"])
+def test_trajectory_states_are_distinct_arrays(integrator):
+    """``march`` keeps each state a step returns without copying it: no two
+    trajectory states share memory, and the caller's ``phi_0`` is neither
+    kept nor changed."""
+    prob = IgnitionSurrogate()
+    phi0 = prob.initial_state()
+    before = phi0.tobytes()
+    sys_ = prob.system()
+    dt = prob.default_dt()
+    rule = lobatto_rule(3)
+    if integrator == "sdc":
+        trajectory, _ = integrate(phi0, 0.0, 3 * dt, dt, rule, sys_, 3)
+    elif integrator == "rk":
+        trajectory = rk_integrate(phi0, 0.0, 3 * dt, dt, classical_rk4(), sys_)
+    else:
+        trajectory, _ = integrate_resilient(phi0, 0.0, 3 * dt, dt, rule, sys_, CFG)
+    states = [phi0] + [state for _, state in trajectory]
+    assert len(states) == 5
+    for i, a in enumerate(states):
+        for b in states[i + 1 :]:
+            assert not np.shares_memory(a, b)
+    assert phi0.tobytes() == before
+    assert trajectory[0][1].tobytes() == before
+    assert all(type(t) is float for t, _ in trajectory)
+
+
 def test_resilient_linear_run_calls_no_guard(monkeypatch):
     calls = []
 

@@ -9,6 +9,7 @@ from resilient_sdc.errors import NonRealizableStateError
 from resilient_sdc.faults import KernelHook
 from resilient_sdc.problems import LinearProblem
 from resilient_sdc.rk import ButcherTableau, classical_rk4, rk_integrate, rk_step
+from test_sdc import _bitwise_cases, _planted_system
 
 
 def test_classical_tableau_coefficients():
@@ -105,3 +106,85 @@ def test_hook_sees_every_stage_evaluation():
     rk_integrate(prob.initial_state(), 0.0, 1.0, 0.25, classical_rk4(), prob.system(hook))
     # 4 steps x 4 stages, one kernel call each on the scalar problem
     assert hook.call_count == 16
+
+
+# ---------------------------------------------------------------------------
+# rk_step against the ``@``-product, two-call finite-check form it replaced
+
+
+def _reference_rk_step(phi_n, t, dt, tableau, sys):
+    phi_n = np.asarray(phi_n, dtype=float)
+    hook = sys.hook
+    hook.begin_sweep(1)
+    k = np.empty((tableau.stages, phi_n.size))
+    for i in range(tableau.stages):
+        stage_state = phi_n + dt * (tableau.a[i, :i] @ k[:i])
+        if not np.isfinite(stage_state).all():
+            raise NonRealizableStateError(
+                "non-finite stage value", node_index=i, sweep_index=1
+            )
+        hook.begin_node(i)
+        k[i] = sys.rhs(stage_state, t + tableau.c[i] * dt)
+        if not np.isfinite(k[i]).all():
+            raise NonRealizableStateError(
+                "non-finite stage rhs", node_index=i, sweep_index=1
+            )
+    return phi_n + dt * (tableau.b @ k)
+
+
+def test_rk_step_is_bitwise_equal_to_the_reference():
+    """Three chained steps from each input: the linear problem, states with
+    both signs of zero, and the hot spot, also scaled by 1e+-150."""
+    tableau = classical_rk4()
+    for label, sys_, phi0, dt in _bitwise_cases():
+        state = ref = phi0
+        for step in range(3):
+            t = 0.25 + step * dt
+            calls = sys_.hook.call_count
+            state = rk_step(state, t, dt, tableau, sys_)
+            new_calls = sys_.hook.call_count - calls
+            ref = _reference_rk_step(ref, t, dt, tableau, sys_)
+            assert sys_.hook.call_count - calls == 2 * new_calls, (label, step)
+            assert state.tobytes() == ref.tobytes(), (label, step)
+
+
+def _run_rk_step(step, phi0, sys_):
+    """One step with dt = 1e10: the error raised, else the end state's
+    bytes, then the (sweep, stage) of every rhs evaluation made."""
+    sys_.hook.evaluated.clear()
+    try:
+        result = step(phi0, 0.0, 1.0e10, classical_rk4(), sys_)
+    except NonRealizableStateError as exc:
+        outcome = ("raised", str(exc), exc.node_index, exc.sweep_index)
+    else:
+        outcome = ("completed", result.tobytes())
+    return outcome + (tuple(sys_.hook.evaluated),)
+
+
+def test_non_finite_stage_values_raise_where_the_reference_raises():
+    """inf or NaN stage rhs values fail that stage's rhs check; 1e300 makes
+    the next stage value overflow, or, planted at the last stage, the end
+    state."""
+    phi0 = np.array([1.0, -0.0, 2.0])
+    for stage in range(classical_rk4().stages):
+        for value in (np.inf, np.nan, 1.0e300):
+            sys_ = _planted_system((1, stage), value)
+            with np.errstate(over="ignore", invalid="ignore"):
+                outcome = _run_rk_step(rk_step, phi0, sys_)
+                reference = _run_rk_step(_reference_rk_step, phi0, sys_)
+            assert outcome == reference, (stage, value)
+            if not np.isfinite(value):
+                expected = f"non-finite stage rhs (sweep 1, node {stage})"
+                assert outcome[:4] == ("raised", expected, stage, 1)
+            elif stage < 3:
+                expected = f"non-finite stage value (sweep 1, node {stage + 1})"
+                assert outcome[:4] == ("raised", expected, stage + 1, 1)
+            else:
+                assert outcome[0] == "completed"
+            assert outcome[-1] == tuple((1, i) for i in range(len(outcome[-1])))
+    bad_start = phi0.copy()
+    bad_start[1] = np.nan
+    sys_ = _planted_system(None, 0.0)
+    outcome = _run_rk_step(rk_step, bad_start, sys_)
+    assert outcome == ("raised", "non-finite stage value (sweep 1, node 0)", 0, 1, ())
+    assert outcome == _run_rk_step(_reference_rk_step, bad_start, sys_)

@@ -3,6 +3,7 @@ realizability checks on the ignition surrogate."""
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from resilient_sdc.quadrature import lobatto_rule
 from resilient_sdc.sdc import (
     NodeSolution,
     ODESystem,
+    all_finite,
     fixed_sweeps,
     integrate,
     integrate_step,
@@ -102,6 +104,40 @@ def test_step_times_degenerate_and_invalid():
         step_times(0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         step_times(1.0, 0.0, 0.5)
+
+
+def test_step_times_rejects_non_finite_arguments():
+    for t0, t_end, dt, name in [
+        (0.0, 1.0, math.inf, "dt"),
+        (0.0, 1.0, math.nan, "dt"),
+        (0.0, math.inf, 0.1, "t_end"),
+        (0.0, math.nan, 0.1, "t_end"),
+        (-math.inf, 1.0, 0.1, "t0"),
+        (math.nan, 1.0, 0.1, "t0"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            step_times(t0, t_end, dt)
+
+
+def test_all_finite_matches_the_isfinite_reduction():
+    specials = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1.0e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for size in (1, 240):
+            base = np.linspace(-3.0, 3.0, size)
+            arrays = [base, np.full(size, 1.0e308), np.full(size, -1.0e308)]
+            for value in specials:
+                for index in {0, size // 2, size - 1}:
+                    planted = base.copy()
+                    planted[index] = value
+                    arrays.append(planted)
+                arrays.append(np.full(size, value))
+            arrays.append(np.full((2, size), 1.0e308))
+            for a in arrays:
+                assert bool(all_finite(a)) is bool(np.isfinite(a).all()), a
+    # the 1e308 arrays are finite although their sum overflows
+    assert all_finite(np.full(240, 1.0e308))
+    assert not all_finite(np.array([1.0, math.nan]))
 
 
 def test_predictor_is_euler_substepping(linear):

@@ -7,14 +7,15 @@ The package is imported from this checkout's ``src/``, so running the script
 in two checkouts and comparing the printed digests compares the two trees.
 The run set covers the three integrators fault-free, type-B campaign members
 of two base seeds, type-A resilient members, one scheduled one-shot fault per
-kernel id, a fixed-sweep run of the linear problem, and the linear
-convergence study.  The digest covers every trajectory (times and state
-bytes), residual history, sweep and restart count, status, error string,
-fault-event record and metric; floats enter as their exact hex form.  The
-three fault-free runs, one type-B resilient member and the linear run also
-write their artifacts into a temporary directory, and the digest covers
-each file's name and bytes.  No SDC run of the set aborts.  A run takes a
-few seconds.
+kernel id, a fixed-sweep run of the linear problem, the linear RK4 and
+resilient-SDC timestep ladders of the benchmark's ``converge-linear``
+workload, and the linear convergence study.  The digest covers every
+trajectory (times and state bytes), residual history, sweep and restart
+count, status, error string, fault-event record and metric; floats enter as
+their exact hex form.  The three fault-free runs, one type-B resilient
+member and the fixed-sweep linear run also write their artifacts into a
+temporary directory, and the digest covers each file's name and bytes.  No
+SDC run of the set aborts.  A run takes a few seconds.
 """
 
 import hashlib
@@ -40,6 +41,11 @@ TYPE_B_MEMBERS = 12
 TYPE_A_SEED = 7
 TYPE_A_MEMBERS = 6
 ARTIFACT_MEMBER = (TYPE_B_SEEDS[0], "sdc_resilient", 0)  # (seed, integrator, member)
+LINEAR_T_END = 2.0
+LINEAR_LADDERS = {
+    "rk": (0.05, 0.025, 0.0125, 0.00625),
+    "sdc_resilient": (0.4, 0.2, 0.1, 0.05),
+}
 
 
 def _canonical(value):
@@ -127,13 +133,21 @@ def run_set():
         add(f"one-shot {kernel}", replace(member, one_shot=spec))
 
     add("linear sdc_fixed", RunConfig(problem="linear", integrator="sdc_fixed"), artifacts=True)
+    for integrator, dts in LINEAR_LADDERS.items():
+        for dt in dts:
+            cfg = RunConfig(problem="linear", integrator=integrator, dt=dt, t_end=LINEAR_T_END)
+            add(f"linear {integrator} dt {dt!r}", cfg)
 
     runs.append(
         (
             "convergence linear",
             lambda: _convergence_parts(
                 convergence_study(
-                    "linear", [0.4, 0.2, 0.1, 0.05], range(2, 6), range(2, 7), t_end=2.0
+                    "linear",
+                    LINEAR_LADDERS["sdc_resilient"],
+                    range(2, 6),
+                    range(2, 7),
+                    t_end=LINEAR_T_END,
                 )
             ),
         )
