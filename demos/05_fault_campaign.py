@@ -1,6 +1,6 @@
 # Monte Carlo fault campaign: unprotected vs resilient integration
 # ----------------------------------------------------------------
-# Every kernel return value is a potential bit-flip site; each stream draws
+# Every kernel return value is a potential bit-flip site; each run draws
 # one fault per 5580-call window.  Twenty seeded runs per arm are enough to
 # see the story: the Runge-Kutta arm either crashes on detectable corruption
 # or silently lands on a scattered answer, while the resilient arm detects,

@@ -30,7 +30,7 @@ from .problems import (
 )
 from .quadrature import lobatto_rule
 from .resilience import ControllerConfig, integrate_resilient
-from .rk import classical_rk4, rk_integrate
+from .rk import rk_integrate
 from .sdc import integrate, step_times
 
 __all__ = [
@@ -103,6 +103,20 @@ class RunConfig:
                     f"one-shot kernel must be one of {kernels} for the {self.problem} problem, "
                     f"got {self.one_shot.kernel_id!r}"
                 )
+            # the last sweep and the node count the integrator evaluates
+            last_sweep, nodes = {
+                "rk": (1, 4),  # one pass over the four RK4 stages
+                "sdc_fixed": (self.sweeps, self.num_nodes),
+                "sdc_resilient": (self.controller.max_sweeps, self.num_nodes),
+            }[self.integrator]
+            sweep, node = self.one_shot.sweep_index, self.one_shot.node_index
+            where = f"for {self.integrator}, got sweep_index {sweep}, node_index {node}"
+            if sweep > last_sweep:
+                raise ValueError(f"one-shot sweep_index must be <= {last_sweep} {where}")
+            if node >= nodes:
+                raise ValueError(f"one-shot node_index must be < {nodes} {where}")
+            if node == 0 and sweep >= 2:
+                raise ValueError(f"one-shot node 0 is evaluated only in sweep 1 {where}")
         return self
 
     def resolved_dt(self):
@@ -224,7 +238,7 @@ def run_single(cfg):
     status, error, aborted = "clean", None, None
     try:
         if cfg.integrator == "rk":
-            trajectory = rk_integrate(phi0, cfg.t_start, t_end, dt, classical_rk4(), sys)
+            trajectory = rk_integrate(phi0, cfg.t_start, t_end, dt, sys)
         elif cfg.integrator == "sdc_fixed":
             trajectory, traces = integrate(
                 phi0, cfg.t_start, t_end, dt, rule, sys, cfg.sweeps, sweep_observer=sweep_observer
@@ -501,12 +515,13 @@ def sensitivity_sweep(cfg, kernels=None, *, step_index=None):
 def convergence_study(problem, dt_list, node_counts, sweep_counts, *, t_end=1.0):
     """Observed-order table over a geometric ladder of timesteps.
 
-    ``problem`` is ``"linear"`` (errors against the exact solution) or an
-    IgnitionSurrogate / ``"ignition"`` (errors against a Richardson
-    reference computed at a quarter of the finest dt).  Each (node count,
-    sweep count) pair contributes one row with the least-squares slope of
-    log error versus log dt.
+    ``problem`` must be ``"linear"``: errors are taken against the exact
+    solution of y' = lambda y.  Each (node count, sweep count) pair
+    contributes one row with the least-squares slope of log error versus
+    log dt.
     """
+    if problem != "linear":
+        raise ValueError(f"convergence_study supports only the linear problem, got {problem!r}")
     dts = [float(dt) for dt in dt_list]
     if len(dts) < 3:
         raise ValueError("need at least three timesteps for an order estimate")
@@ -516,39 +531,18 @@ def convergence_study(problem, dt_list, node_counts, sweep_counts, *, t_end=1.0)
     if any(abs(r - ratios[0]) > 1e-6 * ratios[0] for r in ratios):
         raise ValueError("timesteps must form a geometric ladder")
 
-    if problem == "linear":
-        problem_obj = LinearProblem()
-    elif problem == "ignition":
-        problem_obj = IgnitionSurrogate()
-    else:
-        problem_obj = problem
-
+    linear = LinearProblem()
+    exact = linear.exact(t_end)
     rows = []
     for num_nodes in node_counts:
         rule = lobatto_rule(num_nodes)
         for sweeps in sweep_counts:
-            reference = None
-            if isinstance(problem_obj, IgnitionSurrogate):
-                ref_traj, _ = integrate(
-                    problem_obj.initial_state(),
-                    0.0,
-                    t_end,
-                    min(dts) / 4.0,
-                    rule,
-                    problem_obj.system(),
-                    sweeps,
-                )
-                reference = ref_traj[-1][1]
             errors = []
             for dt in dts:
                 trajectory, _ = integrate(
-                    problem_obj.initial_state(), 0.0, t_end, dt, rule, problem_obj.system(), sweeps
+                    linear.initial_state(), 0.0, t_end, dt, rule, linear.system(), sweeps
                 )
-                final = trajectory[-1][1]
-                if reference is None:
-                    errors.append(abs(float(final[0]) - problem_obj.exact(t_end)))
-                else:
-                    errors.append(float(np.max(np.abs(final - reference))))
+                errors.append(abs(float(trajectory[-1][1][0]) - exact))
             slope = np.polyfit(np.log(dts), np.log(errors), 1)[0]
             rows.append(
                 {

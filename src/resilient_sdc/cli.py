@@ -75,8 +75,9 @@ def build_parser():
         p.add_argument("--run-id", type=int)
         p.add_argument("--output-every", type=int)
 
-    p_converge = sub.add_parser("converge", help="observed-order study over a dt ladder")
-    p_converge.add_argument("--problem", choices=["linear", "ignition"])
+    p_converge = sub.add_parser(
+        "converge", help="observed-order study of the linear problem over a dt ladder"
+    )
     p_converge.add_argument("--dts", type=_comma_floats, help="comma list, geometric")
     p_converge.add_argument("--nodes", type=_comma_ints, help="comma list of node counts")
     p_converge.add_argument("--sweeps", type=_comma_ints, help="comma list of sweep counts")
@@ -104,7 +105,6 @@ def build_parser():
     p_ignite.add_argument("--fault-mode", choices=["off", "type_a", "type_b"])
     p_ignite.add_argument("--window", type=int)
     p_ignite.add_argument("--scale", type=float)
-    p_ignite.add_argument("--streams", type=int)
 
     p_campaign = sub.add_parser("campaign", help="Monte Carlo fault campaign")
     add_run_options(p_campaign)
@@ -114,7 +114,6 @@ def build_parser():
     p_campaign.add_argument("--fault-mode", choices=["off", "type_a", "type_b"])
     p_campaign.add_argument("--window", type=int)
     p_campaign.add_argument("--scale", type=float)
-    p_campaign.add_argument("--streams", type=int)
 
     return parser
 
@@ -150,7 +149,6 @@ def _base_run_config(args, config, *, out_dir):
         window=int(_pick(args, config, "window", 5580)),
         scale=float(_pick(args, config, "scale", 1.0e4)),
         seed=int(_pick(args, config, "seed", 0)),
-        streams=int(_pick(args, config, "streams", 1)),
     )
     cfg = RunConfig(
         problem=_pick(args, config, "problem", "ignition"),
@@ -186,7 +184,7 @@ def _print_run_summary(report):
 
 def _cmd_converge(args, config):
     rows = convergence_study(
-        _pick(args, config, "problem", "linear"),
+        "linear",
         _pick(args, config, "dts", [0.2, 0.1, 0.05, 0.025]),
         _pick(args, config, "nodes", [3]),
         _pick(args, config, "sweeps", [4]),

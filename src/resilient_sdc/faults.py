@@ -10,7 +10,7 @@ large scale factor, ``type_b`` flips one bit of the IEEE-754 binary64
 representation of one element (bit 63 is the sign, 62..52 the exponent,
 51..0 the mantissa).  The windowed injector fires exactly once per
 completed window of kernel calls at a uniformly drawn call index, with all
-randomness keyed by (seed, run, stream, window) so that runs are exactly
+randomness keyed by (seed, run, window) so that runs are exactly
 reproducible and windows are independent.
 """
 
@@ -24,14 +24,12 @@ import numpy as np
 __all__ = [
     "FaultConfig",
     "FaultEvent",
-    "InjectionState",
     "OneShotSpec",
     "KernelHook",
     "FaultInjector",
     "OneShotPerturbation",
     "bit_flip",
     "corrupt",
-    "maybe_inject",
     "write_event_log",
 ]
 
@@ -56,25 +54,20 @@ class FaultConfig:
     """Windowed-injection settings.
 
     ``window`` is the number of kernel calls per injection window and
-    ``scale`` the type-A multiplier.  ``streams`` counts independent
-    injection streams (each with its own window counter), standing in for
-    the per-rank callbacks of a distributed run.  A deterministic fault at a
-    chosen kernel, offset and bit is a ``OneShotSpec``.
+    ``scale`` the type-A multiplier.  A deterministic fault at a chosen
+    kernel, offset and bit is a ``OneShotSpec``.
     """
 
     mode: str = "off"
     window: int = 5580
     scale: float = 1.0e4
     seed: int = 0
-    streams: int = 1
 
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
-        if self.streams < 1:
-            raise ValueError(f"streams must be >= 1, got {self.streams}")
 
 
 @dataclass
@@ -123,62 +116,6 @@ def corrupt(array, offset, kernel_id, *, bit=None, scale=None, call_index, sim_t
     )
 
 
-@dataclass
-class InjectionState:
-    """Mutable per-stream window state for the injector."""
-
-    seed: int
-    run_id: int
-    stream_id: int
-    counter: int = 0
-    window_index: int = 0
-    fault_call: int = 0
-    rng: np.random.Generator = None
-
-    @classmethod
-    def start(cls, cfg, run_id=0, stream_id=0):
-        state = cls(seed=cfg.seed, run_id=run_id, stream_id=stream_id)
-        state.new_window(cfg)
-        return state
-
-    def new_window(self, cfg):
-        """Re-key the generator and draw this window's fault call."""
-        self.rng = np.random.default_rng(
-            (self.seed, self.run_id, self.stream_id, self.window_index)
-        )
-        self.fault_call = int(self.rng.integers(0, cfg.window))
-
-
-def maybe_inject(array, kernel_id, state, cfg, *, call_index=0, sim_time=0.0, position=None):
-    """Advance one stream by one kernel call, possibly corrupting ``array``.
-
-    When the within-window call counter hits the drawn fault call, exactly
-    one element is mutated in place and a FaultEvent is returned; otherwise
-    None.  The counter advances even in ``off`` mode so arming faults never
-    changes call accounting.
-    """
-    fire = state.counter == state.fault_call
-    state.counter += 1
-
-    event = None
-    if fire and cfg.mode != "off":
-        offset = int(state.rng.integers(0, array.size))
-        bit = None
-        if cfg.mode == "type_b":
-            bit = int(state.rng.integers(0, 64))
-        event = corrupt(
-            array, offset, kernel_id, bit=bit, scale=cfg.scale, call_index=call_index,
-            sim_time=sim_time, position=position if position is not None else (0, 0, 0),
-            run_id=state.run_id,
-        )
-
-    if state.counter >= cfg.window:
-        state.counter = 0
-        state.window_index += 1
-        state.new_window(cfg)
-    return event
-
-
 class KernelHook:
     """Base observer for kernelized rhs evaluations; injects nothing.
 
@@ -221,43 +158,42 @@ class KernelHook:
 
 
 class FaultInjector(KernelHook):
-    """Windowed random injector: one fault per stream per completed window."""
+    """Windowed random injector: one fault per completed window."""
 
     def __init__(self, cfg, run_id=0):
         super().__init__(run_id=run_id)
         self.cfg = cfg
-        self.streams = [
-            InjectionState.start(cfg, run_id=run_id, stream_id=s)
-            for s in range(cfg.streams)
-        ]
+        self.counter = 0  # call index within the current window
+        self.window_index = 0
+        self._new_window()
+
+    def _new_window(self):
+        """Re-key the generator and draw this window's fault call.  The 0 in
+        the key is the slot of the stream index the injector once had, so
+        every seed still draws the faults it always drew."""
+        self.rng = np.random.default_rng((self.cfg.seed, self.run_id, 0, self.window_index))
+        self.fault_call = int(self.rng.integers(0, self.cfg.window))
 
     def filter(self, kernel_id, array):
-        """Advance every stream by one kernel call.
-
-        A call that is neither a stream's drawn fault call nor the last call
-        of its window only advances that stream's counter; every other call
-        goes through ``maybe_inject``, the one path that fires faults and
-        starts new windows.
-        """
+        """Count one kernel call, corrupt ``array`` if it is the window's
+        drawn fault call, and start a new window after the window's last
+        call.  ``off`` mode counts calls and windows the same way."""
         call_index = self.call_count
         self.call_count += 1
-        window_end = self.cfg.window - 1
-        for stream in self.streams:
-            counter = stream.counter
-            if counter != stream.fault_call and counter != window_end:
-                stream.counter = counter + 1
-                continue
-            event = maybe_inject(
-                array,
-                kernel_id,
-                stream,
-                self.cfg,
-                call_index=call_index,
-                sim_time=self.sim_time,
-                position=self.position(),
+        cfg = self.cfg
+        if self.counter == self.fault_call and cfg.mode != "off":
+            offset = int(self.rng.integers(0, array.size))
+            bit = int(self.rng.integers(0, 64)) if cfg.mode == "type_b" else None
+            event = corrupt(
+                array, offset, kernel_id, bit=bit, scale=cfg.scale, call_index=call_index,
+                sim_time=self.sim_time, position=self.position(), run_id=self.run_id,
             )
-            if event is not None:
-                self.events.append(event)
+            self.events.append(event)
+        self.counter += 1
+        if self.counter == cfg.window:
+            self.counter = 0
+            self.window_index += 1
+            self._new_window()
 
 
 @dataclass

@@ -18,7 +18,7 @@ from resilient_sdc.campaign import (
     summarize,
 )
 from resilient_sdc.faults import FaultConfig, OneShotSpec
-from resilient_sdc.problems import KERNEL_IDS, LINEAR_KERNEL_ID
+from resilient_sdc.problems import KERNEL_IDS, LINEAR_KERNEL_ID, IgnitionSurrogate
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -98,6 +98,36 @@ def test_run_config_validation():
                             ("linear", "assembly")):
         with pytest.raises(ValueError, match=f"one-shot kernel must be one of .* got '{kernel}'"):
             RunConfig(problem=problem, one_shot=OneShotSpec(kernel_id=kernel)).validate()
+
+
+def test_one_shot_positions_the_integrator_never_evaluates_are_config_errors():
+    """RK4 makes one pass over four stages; SDC sweeps up to its fixed count
+    or the controller's cap, over ``num_nodes`` nodes, and only the
+    predictor (sweep 1) evaluates node 0."""
+    reachable = [
+        ("rk", dict(sweep_index=1, node_index=3)),
+        ("sdc_fixed", dict(sweep_index=4, node_index=2)),
+        ("sdc_resilient", dict(sweep_index=8, node_index=2)),
+        ("sdc_resilient", dict(sweep_index=1, node_index=0)),
+    ]
+    for integrator, position in reachable:
+        RunConfig(integrator=integrator, one_shot=OneShotSpec(**position)).validate()
+    unreachable = [
+        ("rk", dict(node_index=4), "node_index must be < 4 for rk"),
+        ("rk", dict(sweep_index=2, node_index=1), "sweep_index must be <= 1 for rk"),
+        ("sdc_fixed", dict(node_index=3), "node_index must be < 3 for sdc_fixed"),
+        ("sdc_fixed", dict(sweep_index=5, node_index=1), "sweep_index must be <= 4 for sdc_fixed"),
+        ("sdc_resilient", dict(sweep_index=9, node_index=1),
+         "sweep_index must be <= 8 for sdc_resilient"),
+        ("sdc_resilient", dict(sweep_index=2, node_index=0), "node 0 is evaluated only in sweep 1"),
+        ("sdc_fixed", dict(sweep_index=3, node_index=0), "node 0 is evaluated only in sweep 1"),
+    ]
+    for integrator, position, message in unreachable:
+        with pytest.raises(ValueError, match=f"^one-shot {message}"):
+            RunConfig(integrator=integrator, one_shot=OneShotSpec(**position)).validate()
+    # the bounds follow the run's own node and sweep counts
+    RunConfig(integrator="sdc_fixed", num_nodes=5, sweeps=6,
+              one_shot=OneShotSpec(sweep_index=6, node_index=4)).validate()
 
 
 def test_sensitivity_sweep_checks_its_kernels_before_any_run(monkeypatch):
@@ -367,3 +397,12 @@ def test_convergence_study_input_validation():
         convergence_study("linear", [0.2, 0.1, 0.07], [3], [4])
     with pytest.raises(ValueError):
         convergence_study("linear", [0.2, -0.1, 0.05], [3], [4])
+
+
+def test_convergence_study_supports_only_the_linear_problem(monkeypatch):
+    calls = []
+    monkeypatch.setattr(campaign_module, "integrate", lambda *args: calls.append(args))
+    for problem in ("ignition", IgnitionSurrogate(), "Linear"):
+        with pytest.raises(ValueError, match="only the linear problem"):
+            convergence_study(problem, [0.2, 0.1, 0.05], [3], [4])
+    assert calls == []

@@ -47,16 +47,27 @@ def test_missing_subcommand_is_usage_error():
 
 
 def test_converge_reports_observed_orders(capsys):
-    rc = main([
-        "converge", "--problem", "linear",
-        "--dts", "0.2,0.1,0.05", "--nodes", "2", "--sweeps", "2",
-    ])
+    rc = main(["converge", "--dts", "0.2,0.1,0.05", "--nodes", "2", "--sweeps", "2"])
     out = capsys.readouterr().out
     assert rc == EXIT_OK
     assert "observed order" in out
     row = out.strip().splitlines()[-1].split()
     assert row[:2] == ["2", "2"]
     assert 1.7 <= float(row[2]) <= 2.3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["converge", "--problem", "ignition"], ["ignite", "--streams", "2"],
+     ["campaign", "--streams", "2"]],
+)
+def test_removed_options_are_usage_errors(argv, capsys):
+    """``converge`` studies only the linear problem and the injector has one
+    fault stream, so these options are rejected before anything runs."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == EXIT_CONFIG
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
 def test_ignite_linear_clean_run_and_artifacts(tmp_path, capsys):
@@ -237,6 +248,10 @@ def test_inject_offset_past_the_kernel_array_is_a_config_error(tmp_path, capsys)
         (["inject", "--step", "-1"], "step_index must be >= 0, got -1"),
         (["inject", "--sweep", "0"], "sweep_index must be >= 1, got 0"),
         (["inject", "--problem", "linear", "--kernel", "assembly"], "got 'assembly'"),
+        (["inject", "--problem", "linear", "--node", "7"],
+         "node_index must be < 3 for sdc_resilient, got sweep_index 1, node_index 7"),
+        (["inject", "--integrator", "rk", "--sweep", "2"],
+         "sweep_index must be <= 1 for rk, got sweep_index 2, node_index 0"),
     ],
 )
 def test_impossible_one_shot_faults_are_config_errors(tmp_path, capsys, argv, message):

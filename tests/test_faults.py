@@ -3,6 +3,7 @@
 import json
 import math
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,13 +11,11 @@ import pytest
 from resilient_sdc.faults import (
     FaultConfig,
     FaultInjector,
-    InjectionState,
     KernelHook,
     OneShotPerturbation,
     OneShotSpec,
     bit_flip,
     corrupt,
-    maybe_inject,
     write_event_log,
 )
 from resilient_sdc.problems import KERNEL_IDS
@@ -80,8 +79,6 @@ def test_fault_config_validation():
         FaultConfig(mode="gamma_ray")
     with pytest.raises(ValueError):
         FaultConfig(window=0)
-    with pytest.raises(ValueError):
-        FaultConfig(streams=0)
 
 
 def test_one_shot_spec_validation():
@@ -127,7 +124,7 @@ def test_off_mode_advances_the_window_counter_without_events():
     _drive(hook, 50 * 4)
     assert hook.events == []
     assert hook.call_count == 200
-    assert hook.streams[0].window_index == 4
+    assert hook.window_index == 4
 
 
 def test_off_and_armed_modes_share_call_accounting():
@@ -136,8 +133,8 @@ def test_off_and_armed_modes_share_call_accounting():
     off = FaultInjector(FaultConfig(mode="off", window=50, seed=7))
     _drive(armed, 50 * 6)
     _drive(off, 50 * 6)
-    assert armed.streams[0].window_index == off.streams[0].window_index
-    assert armed.streams[0].counter == off.streams[0].counter
+    assert armed.window_index == off.window_index
+    assert armed.counter == off.counter
 
 
 def test_same_seed_reproduces_events_bit_for_bit():
@@ -158,13 +155,6 @@ def test_different_run_ids_draw_independent_streams():
     assert [ev.call_index for ev in a.events] != [ev.call_index for ev in b.events]
 
 
-def test_multiple_streams_fire_independently():
-    cfg = FaultConfig(mode="type_b", window=40, seed=3, streams=2)
-    hook = FaultInjector(cfg)
-    _drive(hook, 40 * 5)
-    assert len(hook.events) == 2 * 5
-
-
 def test_type_a_event_records_scale_and_mutation():
     cfg = FaultConfig(mode="type_a", window=5, seed=11, scale=1e4)
     hook = FaultInjector(cfg)
@@ -177,17 +167,76 @@ def test_type_a_event_records_scale_and_mutation():
     assert event.new_value == event.old_value * 1e4
 
 
+# The windowed injector as it was when it carried one or more injection
+# streams, reduced to one stream (stream slot 0 of the generator key): the
+# reference ``FaultInjector.filter`` must match call by call.
+
+
+@dataclass
+class InjectionState:
+    """Window state of one injection stream."""
+
+    seed: int
+    run_id: int
+    stream_id: int
+    counter: int = 0
+    window_index: int = 0
+    fault_call: int = 0
+    rng: np.random.Generator = None
+
+    @classmethod
+    def start(cls, cfg, run_id=0, stream_id=0):
+        state = cls(seed=cfg.seed, run_id=run_id, stream_id=stream_id)
+        state.new_window(cfg)
+        return state
+
+    def new_window(self, cfg):
+        self.rng = np.random.default_rng(
+            (self.seed, self.run_id, self.stream_id, self.window_index)
+        )
+        self.fault_call = int(self.rng.integers(0, cfg.window))
+
+
+def maybe_inject(array, kernel_id, state, cfg, *, call_index=0, sim_time=0.0, position=None):
+    """Advance the stream by one kernel call, possibly corrupting ``array``;
+    returns the FaultEvent or None."""
+    fire = state.counter == state.fault_call
+    state.counter += 1
+
+    event = None
+    if fire and cfg.mode != "off":
+        offset = int(state.rng.integers(0, array.size))
+        bit = None
+        if cfg.mode == "type_b":
+            bit = int(state.rng.integers(0, 64))
+        event = corrupt(
+            array, offset, kernel_id, bit=bit, scale=cfg.scale, call_index=call_index,
+            sim_time=sim_time, position=position if position is not None else (0, 0, 0),
+            run_id=state.run_id,
+        )
+
+    if state.counter >= cfg.window:
+        state.counter = 0
+        state.window_index += 1
+        state.new_window(cfg)
+    return event
+
+
 def test_maybe_inject_counter_walks_windows():
+    """The reference and the injector both end 9 calls into 4-call windows
+    at window 2, call 1."""
     cfg = FaultConfig(mode="off", window=4, seed=0)
     state = InjectionState.start(cfg)
+    hook = FaultInjector(cfg)
     for call in range(9):
         maybe_inject(np.ones(3), "assembly", state, cfg, call_index=call)
-    assert state.window_index == 2
-    assert state.counter == 1
+        hook.filter("assembly", np.ones(3))
+    assert (state.window_index, state.counter) == (2, 1)
+    assert (hook.window_index, hook.counter) == (2, 1)
 
 
-def _stream_states(streams):
-    return [(s.counter, s.window_index, s.fault_call) for s in streams]
+def _window_state(hook):
+    return (hook.counter, hook.window_index, hook.fault_call)
 
 
 def _event_records(events):
@@ -195,49 +244,50 @@ def _event_records(events):
 
 
 @pytest.mark.parametrize("window", [1, 2, 3, 96])
-@pytest.mark.parametrize("streams", [1, 3])
+@pytest.mark.parametrize("members", [1, 3])
 @pytest.mark.parametrize("mode", ["off", "type_a", "type_b"])
 @pytest.mark.parametrize("ragged", [False, True])
-def test_filter_matches_a_maybe_inject_loop_call_by_call(window, streams, mode, ragged):
-    """The injector skips ``maybe_inject`` on calls that neither fire nor
-    end a window; the events, arrays and window state stay those of calling
-    it on every call.  ``ragged`` varies the kernel array size from call to
+def test_filter_matches_a_maybe_inject_loop_call_by_call(window, members, mode, ragged):
+    """``filter`` leaves the events, arrays and window state of calling
+    ``maybe_inject`` on every call.  ``members`` injectors with distinct
+    run ids, as in a campaign, each see the same calls and each match their
+    own reference.  ``ragged`` varies the kernel array size from call to
     call, down to one element, so the offset draws see every size."""
-    cfg = FaultConfig(mode=mode, window=window, seed=17, streams=streams)
-    hook = FaultInjector(cfg, run_id=4)
-    reference = [InjectionState.start(cfg, run_id=4, stream_id=s) for s in range(streams)]
-    reference_events = []
-    rng = np.random.default_rng(window * 10 + streams)
+    cfg = FaultConfig(mode=mode, window=window, seed=17)
+    hooks = [FaultInjector(cfg, run_id=4 + m) for m in range(members)]
+    reference = [InjectionState.start(cfg, run_id=4 + m) for m in range(members)]
+    reference_events = [[] for _ in range(members)]
+    rng = np.random.default_rng(window * 10 + members)
     for call in range(max(5 * window, 30) + 7):
         kernel = KERNEL_IDS[call % len(KERNEL_IDS)]
-        hook.begin_step(call // 20, 0.5 * call)
-        hook.begin_sweep(call % 5)
-        hook.begin_node(call % 3)
         values = rng.standard_normal(1 + call % 9 if ragged else 8)
-        array, reference_array = values.copy(), values.copy()
-        hook.filter(kernel, array)
-        for stream in reference:
+        for hook, state, events in zip(hooks, reference, reference_events):
+            hook.begin_step(call // 20, 0.5 * call)
+            hook.begin_sweep(call % 5)
+            hook.begin_node(call % 3)
+            array, reference_array = values.copy(), values.copy()
+            hook.filter(kernel, array)
             event = maybe_inject(
                 reference_array,
                 kernel,
-                stream,
+                state,
                 cfg,
                 call_index=call,
                 sim_time=hook.sim_time,
                 position=hook.position(),
             )
             if event is not None:
-                reference_events.append(event)
-        assert array.tobytes() == reference_array.tobytes()
-        assert _stream_states(hook.streams) == _stream_states(reference)
-        assert _event_records(hook.events) == _event_records(reference_events)
-    assert hook.streams[0].window_index >= 5
-    if mode == "off":
-        assert not hook.events
-    else:
-        # one event per stream per window, the current window's if it fired
-        completed = hook.streams[0].window_index
-        assert streams * completed <= len(hook.events) <= streams * (completed + 1)
+                events.append(event)
+            assert array.tobytes() == reference_array.tobytes()
+            assert _window_state(hook) == _window_state(state)
+            assert _event_records(hook.events) == _event_records(events)
+    for hook in hooks:
+        assert hook.window_index >= 5
+        if mode == "off":
+            assert not hook.events
+        else:
+            # one event per window, the current window's if it fired
+            assert hook.window_index <= len(hook.events) <= hook.window_index + 1
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,17 @@
 import importlib.util
 import os
 
+import numpy as np
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# The digest of the full run set, taken under numpy 2.4.6.  The bits of a
+# run depend on the numpy build (its BLAS kernels among them), so the digest
+# is compared only under that version.  A change that should leave every
+# result bitwise identical leaves this digest as it is.
+FINGERPRINT = "56bae451a180d5bed8f118ed796a1593a759ed990c6bcd30bcde94ba7c9219a1"
+FINGERPRINT_NUMPY = "2.4.6"
 
 
 def _load_tool():
@@ -39,3 +49,12 @@ def test_fingerprint_covers_artifact_files():
     }
     for name, head in heads.items():
         assert parts[parts.index(name.encode()) + 1].startswith(head)
+
+
+@pytest.mark.skipif(
+    np.__version__ != FINGERPRINT_NUMPY,
+    reason=f"fingerprint taken under numpy {FINGERPRINT_NUMPY}, not {np.__version__}",
+)
+def test_full_run_set_matches_the_recorded_fingerprint():
+    tool = _load_tool()
+    assert tool.fingerprint(tool.run_set()) == FINGERPRINT

@@ -20,7 +20,7 @@ from resilient_sdc.resilience import (
     integrate_resilient,
     realizability_guard,
 )
-from resilient_sdc.rk import classical_rk4, rk_integrate
+from resilient_sdc.rk import rk_integrate
 from resilient_sdc.sdc import integrate
 
 CFG = ControllerConfig()
@@ -161,7 +161,7 @@ def test_every_integrator_applies_the_system_realizability():
     with pytest.raises(NonRealizableStateError) as plain:
         integrate(phi0, 0.0, 1.0, 0.1, rule, _bounded_linear_system(), 4)
     with pytest.raises(NonRealizableStateError) as rk:
-        rk_integrate(phi0, 0.0, 1.0, 0.1, classical_rk4(), _bounded_linear_system())
+        rk_integrate(phi0, 0.0, 1.0, 0.1, _bounded_linear_system())
     with pytest.raises(UnrecoverableStepError) as resilient:
         integrate_resilient(phi0, 0.0, 1.0, 0.1, rule, _bounded_linear_system(), CFG)
     assert plain.value.step_index == rk.value.step_index == resilient.value.step_index == 4
@@ -186,7 +186,7 @@ def test_trajectory_states_are_distinct_arrays(integrator):
     if integrator == "sdc":
         trajectory, _ = integrate(phi0, 0.0, 3 * dt, dt, rule, sys_, 3)
     elif integrator == "rk":
-        trajectory = rk_integrate(phi0, 0.0, 3 * dt, dt, classical_rk4(), sys_)
+        trajectory = rk_integrate(phi0, 0.0, 3 * dt, dt, sys_)
     else:
         trajectory, _ = integrate_resilient(phi0, 0.0, 3 * dt, dt, rule, sys_, CFG)
     states = [phi0] + [state for _, state in trajectory]

@@ -1,4 +1,4 @@
-"""Explicit Runge-Kutta baseline: tableau checks and convergence."""
+"""Classical RK4 baseline: coefficient checks and convergence."""
 
 import math
 
@@ -8,40 +8,55 @@ import pytest
 from resilient_sdc.errors import NonRealizableStateError
 from resilient_sdc.faults import KernelHook
 from resilient_sdc.problems import LinearProblem
-from resilient_sdc.rk import ButcherTableau, classical_rk4, rk_integrate, rk_step
+from resilient_sdc import rk
+from resilient_sdc.rk import rk_integrate, rk_step
 from test_sdc import _bitwise_cases, _planted_system
 
 
 def test_classical_tableau_coefficients():
-    tab = classical_rk4()
-    np.testing.assert_array_equal(tab.c, [0.0, 0.5, 0.5, 1.0])
-    np.testing.assert_array_equal(tab.b, [1 / 6, 1 / 3, 1 / 3, 1 / 6])
-    assert tab.stages == 4
-    np.testing.assert_allclose(tab.a.sum(axis=1), tab.c, atol=0.0)
-    assert np.all(np.triu(tab.a) == 0.0)
+    np.testing.assert_array_equal(rk._C, [0.0, 0.5, 0.5, 1.0])
+    np.testing.assert_array_equal(rk._B, [1 / 6, 1 / 3, 1 / 3, 1 / 6])
+    np.testing.assert_array_equal(
+        rk._A, [[0, 0, 0, 0], [0.5, 0, 0, 0], [0, 0.5, 0, 0], [0, 0, 1, 0]]
+    )
 
 
-def test_classical_tableau_is_cached_and_read_only():
-    tab = classical_rk4()
-    assert classical_rk4() is tab
-    for array in (tab.a, tab.b, tab.c):
-        with pytest.raises(ValueError):
-            array[0] = 1.0
-    with pytest.raises(AttributeError):
-        tab.b = np.zeros(4)
-    np.testing.assert_array_equal(tab.b, [1 / 6, 1 / 3, 1 / 3, 1 / 6])
+def _is_explicit_consistent_tableau(a, b, c):
+    """The conditions a Butcher tableau of an explicit method must meet:
+    matching shapes, strictly lower-triangular ``a``, weights summing to 1
+    and row sums equal to ``c``."""
+    a, b, c = (np.asarray(x, dtype=float) for x in (a, b, c))
+    s = b.size
+    return (
+        a.shape == (s, s)
+        and c.size == s
+        and bool(np.all(a[np.triu_indices(s)] == 0.0))
+        and abs(b.sum() - 1.0) <= 1e-14
+        and float(np.max(np.abs(a.sum(axis=1) - c))) <= 1e-14
+    )
 
 
 def test_tableau_validation_rejects_bad_coefficients():
-    good = classical_rk4()
-    with pytest.raises(ValueError):
-        ButcherTableau(a=good.a, b=good.b * 2.0, c=good.c).validate()
-    with pytest.raises(ValueError):
-        ButcherTableau(a=good.a.T, b=good.b, c=good.c).validate()
-    with pytest.raises(ValueError):
-        ButcherTableau(a=good.a, b=good.b, c=good.c + 0.25).validate()
-    with pytest.raises(ValueError):
-        ButcherTableau(a=np.zeros((3, 3)), b=good.b, c=good.c).validate()
+    """The module coefficients meet the explicit-tableau conditions, and the
+    check of them rejects each kind of bad coefficient."""
+    a, b, c = rk._A, rk._B, rk._C
+    assert _is_explicit_consistent_tableau(a, b, c)
+    assert not _is_explicit_consistent_tableau(a, b * 2.0, c)
+    assert not _is_explicit_consistent_tableau(a.T, b, c)
+    assert not _is_explicit_consistent_tableau(a, b, c + 0.25)
+    assert not _is_explicit_consistent_tableau(np.zeros((3, 3)), b, c)
+
+
+def test_classical_tableau_is_cached_and_read_only():
+    """The coefficients are built once per process, at import, and no caller
+    can change them."""
+    import importlib
+
+    assert importlib.import_module("resilient_sdc.rk")._B is rk._B
+    for array in (rk._A, rk._B, rk._C):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    np.testing.assert_array_equal(rk._B, [1 / 6, 1 / 3, 1 / 3, 1 / 6])
 
 
 def test_single_step_matches_fourth_order_taylor():
@@ -49,7 +64,7 @@ def test_single_step_matches_fourth_order_taylor():
     prob = LinearProblem()
     sys_ = prob.system()
     h = 0.1
-    result = rk_step(prob.initial_state(), 0.0, h, classical_rk4(), sys_)
+    result = rk_step(prob.initial_state(), 0.0, h, sys_)
     taylor = 1.0 + h + h**2 / 2 + h**3 / 6 + h**4 / 24
     assert float(result[0]) == pytest.approx(taylor, abs=5e-16)
 
@@ -59,9 +74,7 @@ def test_fourth_order_convergence():
     errors = []
     dts = [0.1, 0.05, 0.025]
     for dt in dts:
-        trajectory = rk_integrate(
-            prob.initial_state(), 0.0, 1.0, dt, classical_rk4(), prob.system()
-        )
+        trajectory = rk_integrate(prob.initial_state(), 0.0, 1.0, dt, prob.system())
         errors.append(abs(float(trajectory[-1][1][0]) - math.e))
     slope = np.polyfit(np.log(dts), np.log(errors), 1)[0]
     assert 3.7 <= slope <= 4.3
@@ -69,8 +82,8 @@ def test_fourth_order_convergence():
 
 def test_trajectory_layout_and_determinism():
     prob = LinearProblem()
-    first = rk_integrate(prob.initial_state(), 0.0, 1.0, 0.1, classical_rk4(), prob.system())
-    second = rk_integrate(prob.initial_state(), 0.0, 1.0, 0.1, classical_rk4(), prob.system())
+    first = rk_integrate(prob.initial_state(), 0.0, 1.0, 0.1, prob.system())
+    second = rk_integrate(prob.initial_state(), 0.0, 1.0, 0.1, prob.system())
     assert len(first) == 11
     for (t1, s1), (t2, s2) in zip(first, second):
         assert t1 == t2
@@ -86,7 +99,7 @@ def test_state_check_violation_aborts():
     sys_ = prob.system()
     sys_.realizability = check
     with pytest.raises(NonRealizableStateError) as excinfo:
-        rk_integrate(prob.initial_state(), 0.0, 1.0, 0.1, classical_rk4(), sys_)
+        rk_integrate(prob.initial_state(), 0.0, 1.0, 0.1, sys_)
     assert excinfo.value.step_index is not None
     # exp(t) passes 2.0 at t = 0.693, so step 6 (ending at t = 0.7) is the
     # first whose end state fails; RK keeps no traces
@@ -97,13 +110,13 @@ def test_state_check_violation_aborts():
 def test_non_finite_stage_detected():
     prob = LinearProblem(s=1.0, y0=math.inf)
     with pytest.raises(NonRealizableStateError):
-        rk_integrate(prob.initial_state(), 0.0, 1.0, 0.5, classical_rk4(), prob.system())
+        rk_integrate(prob.initial_state(), 0.0, 1.0, 0.5, prob.system())
 
 
 def test_hook_sees_every_stage_evaluation():
     prob = LinearProblem()
     hook = KernelHook()
-    rk_integrate(prob.initial_state(), 0.0, 1.0, 0.25, classical_rk4(), prob.system(hook))
+    rk_integrate(prob.initial_state(), 0.0, 1.0, 0.25, prob.system(hook))
     # 4 steps x 4 stages, one kernel call each on the scalar problem
     assert hook.call_count == 16
 
@@ -112,38 +125,37 @@ def test_hook_sees_every_stage_evaluation():
 # rk_step against the ``@``-product, two-call finite-check form it replaced
 
 
-def _reference_rk_step(phi_n, t, dt, tableau, sys):
+def _reference_rk_step(phi_n, t, dt, sys):
     phi_n = np.asarray(phi_n, dtype=float)
     hook = sys.hook
     hook.begin_sweep(1)
-    k = np.empty((tableau.stages, phi_n.size))
-    for i in range(tableau.stages):
-        stage_state = phi_n + dt * (tableau.a[i, :i] @ k[:i])
+    k = np.empty((rk._B.size, phi_n.size))
+    for i in range(rk._B.size):
+        stage_state = phi_n + dt * (rk._A[i, :i] @ k[:i])
         if not np.isfinite(stage_state).all():
             raise NonRealizableStateError(
                 "non-finite stage value", node_index=i, sweep_index=1
             )
         hook.begin_node(i)
-        k[i] = sys.rhs(stage_state, t + tableau.c[i] * dt)
+        k[i] = sys.rhs(stage_state, t + rk._C[i] * dt)
         if not np.isfinite(k[i]).all():
             raise NonRealizableStateError(
                 "non-finite stage rhs", node_index=i, sweep_index=1
             )
-    return phi_n + dt * (tableau.b @ k)
+    return phi_n + dt * (rk._B @ k)
 
 
 def test_rk_step_is_bitwise_equal_to_the_reference():
     """Three chained steps from each input: the linear problem, states with
     both signs of zero, and the hot spot, also scaled by 1e+-150."""
-    tableau = classical_rk4()
     for label, sys_, phi0, dt in _bitwise_cases():
         state = ref = phi0
         for step in range(3):
             t = 0.25 + step * dt
             calls = sys_.hook.call_count
-            state = rk_step(state, t, dt, tableau, sys_)
+            state = rk_step(state, t, dt, sys_)
             new_calls = sys_.hook.call_count - calls
-            ref = _reference_rk_step(ref, t, dt, tableau, sys_)
+            ref = _reference_rk_step(ref, t, dt, sys_)
             assert sys_.hook.call_count - calls == 2 * new_calls, (label, step)
             assert state.tobytes() == ref.tobytes(), (label, step)
 
@@ -153,7 +165,7 @@ def _run_rk_step(step, phi0, sys_):
     bytes, then the (sweep, stage) of every rhs evaluation made."""
     sys_.hook.evaluated.clear()
     try:
-        result = step(phi0, 0.0, 1.0e10, classical_rk4(), sys_)
+        result = step(phi0, 0.0, 1.0e10, sys_)
     except NonRealizableStateError as exc:
         outcome = ("raised", str(exc), exc.node_index, exc.sweep_index)
     else:
@@ -166,7 +178,7 @@ def test_non_finite_stage_values_raise_where_the_reference_raises():
     the next stage value overflow, or, planted at the last stage, the end
     state."""
     phi0 = np.array([1.0, -0.0, 2.0])
-    for stage in range(classical_rk4().stages):
+    for stage in range(rk._B.size):
         for value in (np.inf, np.nan, 1.0e300):
             sys_ = _planted_system((1, stage), value)
             with np.errstate(over="ignore", invalid="ignore"):
