@@ -57,7 +57,7 @@ DEFAULT_IGNITION_T_END = 9.0e-3
 
 @dataclass
 class RunConfig:
-    """Everything needed to reproduce one integration run."""
+    """Everything needed to reproduce one integration run, which starts at t = 0."""
 
     problem: str = "ignition"
     integrator: str = "sdc_resilient"
@@ -65,12 +65,10 @@ class RunConfig:
     sweeps: int = 4  # fixed-sweep SDC only
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     dt: Optional[float] = None
-    t_start: float = 0.0
     t_end: Optional[float] = None
     fault: FaultConfig = field(default_factory=FaultConfig)
     one_shot: Optional[OneShotSpec] = None
     surrogate: IgnitionSurrogate = field(default_factory=IgnitionSurrogate)
-    linear: LinearProblem = field(default_factory=LinearProblem)
     run_id: int = 0
     output_dir: Optional[str] = None
     output_every: int = 1
@@ -86,14 +84,14 @@ class RunConfig:
             raise ValueError(f"num_nodes must be >= 2, got {self.num_nodes}")
         if self.sweeps < 1:
             raise ValueError(f"sweeps must be >= 1, got {self.sweeps}")
-        for name in ("dt", "t_start", "t_end"):
+        for name in ("dt", "t_end"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.dt is not None and self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_end is not None and self.t_end < self.t_start:
-            raise ValueError("t_end must not precede t_start")
+        if self.t_end is not None and self.t_end < 0.0:
+            raise ValueError(f"t_end must not be negative, got {self.t_end}")
         if self.output_every < 1:
             raise ValueError(f"output_every must be >= 1, got {self.output_every}")
         if self.one_shot is not None:
@@ -109,6 +107,10 @@ class RunConfig:
                 "sdc_fixed": (self.sweeps, self.num_nodes),
                 "sdc_resilient": (self.controller.max_sweeps, self.num_nodes),
             }[self.integrator]
+            steps, step = self.step_count(), self.one_shot.step_index
+            if step >= steps:
+                raise ValueError(f"one-shot step_index must be < {steps} for a {steps}-step run, "
+                                 f"got {step}")
             sweep, node = self.one_shot.sweep_index, self.one_shot.node_index
             where = f"for {self.integrator}, got sweep_index {sweep}, node_index {node}"
             if sweep > last_sweep:
@@ -128,6 +130,10 @@ class RunConfig:
         if self.t_end is not None:
             return self.t_end
         return 1.0 if self.problem == "linear" else DEFAULT_IGNITION_T_END
+
+    def step_count(self):
+        """Number of steps the run takes, the final truncated one included."""
+        return len(step_times(0.0, self.resolved_t_end(), self.resolved_dt())) - 1
 
 
 @dataclass
@@ -205,10 +211,7 @@ def _build_hook(cfg):
 
 
 def _build_system(cfg, hook):
-    if cfg.problem == "linear":
-        problem = cfg.linear
-    else:
-        problem = cfg.surrogate
+    problem = LinearProblem() if cfg.problem == "linear" else cfg.surrogate
     return problem, problem.system(hook), problem.initial_state()
 
 
@@ -231,21 +234,21 @@ def run_single(cfg):
 
         def sweep_observer(step, sweep, sol):
             t_node = float(sol.times[-1])
-            err = abs(float(sol.node_states[-1][0]) - cfg.linear.exact(t_node - cfg.t_start))
+            err = abs(float(sol.node_states[-1][0]) - problem.exact(t_node))
             error_history.append((step, sweep, err))
 
     trajectory, traces = [], []
     status, error, aborted = "clean", None, None
     try:
         if cfg.integrator == "rk":
-            trajectory = rk_integrate(phi0, cfg.t_start, t_end, dt, sys)
+            trajectory = rk_integrate(phi0, 0.0, t_end, dt, sys)
         elif cfg.integrator == "sdc_fixed":
             trajectory, traces = integrate(
-                phi0, cfg.t_start, t_end, dt, rule, sys, cfg.sweeps, sweep_observer=sweep_observer
+                phi0, 0.0, t_end, dt, rule, sys, cfg.sweeps, sweep_observer=sweep_observer
             )
         else:
             trajectory, traces = integrate_resilient(
-                phi0, cfg.t_start, t_end, dt, rule, sys, cfg.controller
+                phi0, 0.0, t_end, dt, rule, sys, cfg.controller
             )
     except (NonRealizableStateError, UnrecoverableStepError) as exc:
         # An aborted run keeps the traces of the steps it completed.
@@ -258,7 +261,7 @@ def run_single(cfg):
     if isinstance(hook, OneShotPerturbation):
         one_shot_fired = hook.warn_if_unfired()
 
-    metrics = _collect_metrics(cfg, trajectory, traces, hook, status, dt)
+    metrics = _collect_metrics(cfg, problem, trajectory, traces, hook, status, dt)
     if aborted is not None:
         metrics["steps"] = aborted.step_index
         if isinstance(aborted, UnrecoverableStepError):
@@ -280,7 +283,7 @@ def run_single(cfg):
     return report
 
 
-def _collect_metrics(cfg, trajectory, traces, hook, status, dt):
+def _collect_metrics(cfg, problem, trajectory, traces, hook, status, dt):
     metrics = {
         "status": status,
         "steps": max(len(trajectory) - 1, 0),
@@ -300,7 +303,7 @@ def _collect_metrics(cfg, trajectory, traces, hook, status, dt):
         metrics.update(ignition_metrics(trajectory))
     else:
         final_y = float(trajectory[-1][1][0])
-        exact = cfg.linear.exact(trajectory[-1][0] - cfg.t_start)
+        exact = problem.exact(trajectory[-1][0])
         metrics.update(
             {"final_y": final_y, "exact": exact, "abs_error": abs(final_y - exact)}
         )
@@ -463,18 +466,17 @@ def sensitivity_sweep(cfg, kernels=None, *, step_index=None):
     Each requested kernel gets one run with a single type-A fault (the
     configured scale, default 1e4) applied to that kernel's return array at
     the hottest gridpoint, during the first rhs evaluation of the chosen
-    step.  Returns one row per kernel with the final-peak deviation; a
-    kernel whose hook never fires is reported with zero deviation and a
-    logged warning.  Every kernel's run is configured and validated before
-    the baseline runs, so an unknown kernel id fails at once.
+    step (default: a third of the way through the run).  Returns one row
+    per kernel with the final-peak deviation.  Every kernel's run is
+    configured and validated before the baseline runs, so an unknown kernel
+    id or a step the run never reaches fails at once.
     """
     cfg.validate()
     if cfg.problem != "ignition":
         raise ValueError("sensitivity_sweep is defined for the ignition surrogate")
     kernels = list(kernels) if kernels is not None else list(KERNEL_IDS)
     if step_index is None:
-        n_steps = len(step_times(cfg.t_start, cfg.resolved_t_end(), cfg.resolved_dt())) - 1
-        step_index = max(n_steps // 3, 0)
+        step_index = cfg.step_count() // 3
 
     base_cfg = replace(cfg, one_shot=None, fault=replace(cfg.fault, mode="off"), output_dir=None)
     spec = OneShotSpec(step_index=step_index, sweep_index=1, node_index=0, offset="max_T",
@@ -498,14 +500,11 @@ def sensitivity_sweep(cfg, kernels=None, *, step_index=None):
                 }
             )
             continue
-        deviation = report.metrics["final_peak_T"] - base_peak
-        if report.one_shot_fired is False:
-            deviation = 0.0
         rows.append(
             {
                 "kernel": kernel,
                 "final_peak_T": report.metrics["final_peak_T"],
-                "deviation": deviation,
+                "deviation": report.metrics["final_peak_T"] - base_peak,
                 "status": "completed",
             }
         )

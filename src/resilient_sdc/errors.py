@@ -9,18 +9,18 @@ class NonRealizableStateError(RuntimeError):
     Raised for non-finite states or right-hand-side evaluations, and for
     realizability-guard violations (for example a temperature outside the
     configured bounds).  Carries enough position information to attribute
-    the failure to a node and sweep; ``sdc.march`` attaches the step index
-    and the ``SweepTrace`` list of the steps completed before it (``traces``,
-    empty for RK) while the error propagates.  The message is built from the
-    fields when it is read, so it names the step too.
+    the failure to a node and sweep; ``sdc.march`` sets ``step_index``
+    (None until then) and the completed steps' ``SweepTrace`` list
+    (``traces``, empty for RK) as the error propagates.  The message is
+    built from the fields when it is read, so it names the step too.
     """
 
-    def __init__(self, detail, *, node_index=None, sweep_index=None, step_index=None):
+    def __init__(self, detail, *, node_index=None, sweep_index=None):
         super().__init__(detail)
         self.detail = detail
         self.node_index = node_index
         self.sweep_index = sweep_index
-        self.step_index = step_index
+        self.step_index = None
         self.traces = []
 
     def __str__(self):
@@ -39,15 +39,15 @@ class UnrecoverableStepError(RuntimeError):
     """A timestep could not be completed within the restart budget.
 
     ``restarts`` counts the restarts of the failing step.  ``sdc.march``
-    attaches the step index and the ``SweepTrace`` list of the steps
-    completed before it (``traces``) while the error propagates; the message
-    is built from the fields when it is read, so it names the step index.
+    sets ``step_index`` (None until then) and the completed steps'
+    ``SweepTrace`` list (``traces``) as the error propagates; the message is
+    built from the fields when it is read, so it names the step index.
     """
 
-    def __init__(self, detail, *, step_index=None, restarts=None):
+    def __init__(self, detail, *, restarts=None):
         super().__init__(detail)
         self.detail = detail
-        self.step_index = step_index
+        self.step_index = None
         self.restarts = restarts
         self.traces = []
 

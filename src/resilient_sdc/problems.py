@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,27 +56,20 @@ def linear_exact(t, s=1.0, y0=1.0):
 
 @dataclass
 class LinearProblem:
-    """Scalar growth problem y' = s*y with an optional sweep-level override.
+    """Scalar growth problem y' = s*y, whose whole rhs is one kernel.
 
-    ``perturb_schedule`` maps (sweep_index, node_index) to a replacement
-    growth rate used for exactly those rhs evaluations, which reproduces
-    the classic perturbed-sweep experiment without touching the integrator.
+    A type-A one-shot of scale ``c`` on ``derivative`` at one (sweep, node)
+    multiplies that evaluation by ``c``: for ``s = 1``, bit for bit the rate
+    ``c`` there, the classic perturbed-sweep experiment.
     """
 
     s: float = 1.0
     y0: float = 1.0
-    perturb_schedule: Optional[dict] = None
 
     def system(self, hook=None):
-        schedule = self.perturb_schedule
-
         def rhs(y, t):
-            hook = system.hook
-            rate = self.s
-            if schedule:
-                rate = schedule.get((hook.sweep_index, hook.node_index), rate)
-            out = rate * np.asarray(y, dtype=float)
-            hook.filter(LINEAR_KERNEL_ID, out)
+            out = self.s * np.asarray(y, dtype=float)
+            system.hook.filter(LINEAR_KERNEL_ID, out)
             return out
 
         system = ODESystem(rhs=rhs, hook=hook)

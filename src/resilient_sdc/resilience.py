@@ -29,12 +29,12 @@ __all__ = [
 
 @dataclass
 class ControllerConfig:
-    """Acceptance thresholds and budgets for the resilient sweep loop."""
+    """Acceptance thresholds and budgets for the resilient sweep loop.  A step
+    takes at least the two sweeps ``converged`` compares: ``max_sweeps`` >= 2."""
 
     r1_tol: float = 1.0e-5
     ratio_tol: float = 0.9
     max_sweeps: int = 8
-    min_sweeps: int = 2
     max_restarts: int = 3
 
     def __post_init__(self):
@@ -42,10 +42,8 @@ class ControllerConfig:
             raise ValueError(f"r1_tol must be in (0, 1), got {self.r1_tol}")
         if not 0.0 < self.ratio_tol <= 1.0:
             raise ValueError(f"ratio_tol must be in (0, 1], got {self.ratio_tol}")
-        if self.min_sweeps < 2:
-            raise ValueError(f"min_sweeps must be >= 2, got {self.min_sweeps}")
-        if self.max_sweeps < self.min_sweeps:
-            raise ValueError("max_sweeps must be >= min_sweeps")
+        if self.max_sweeps < 2:
+            raise ValueError(f"max_sweeps must be >= 2, got {self.max_sweeps}")
         if self.max_restarts < 0:
             raise ValueError(f"max_restarts must be >= 0, got {self.max_restarts}")
 
@@ -70,14 +68,15 @@ def converged(norms, cfg):
 
 
 def controller_policy(cfg):
-    """The resilient sweep policy: at least ``min_sweeps`` sweeps, then
-    sweep until ``converged``, and stop at ``max_sweeps`` regardless."""
+    """The resilient sweep policy: sweep until there are the two norms
+    ``converged`` needs, then until it holds, and stop at ``max_sweeps``
+    regardless."""
 
     def keep_sweeping(norms):
         sweeps_taken = len(norms)
         if sweeps_taken >= cfg.max_sweeps:
             return False
-        if sweeps_taken < cfg.min_sweeps:
+        if sweeps_taken < 2:
             return True
         return not converged(norms, cfg)
 

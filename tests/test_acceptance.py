@@ -25,10 +25,11 @@ from resilient_sdc.faults import (
     FaultConfig,
     FaultInjector,
     KernelHook,
+    OneShotPerturbation,
     OneShotSpec,
     bit_flip,
 )
-from resilient_sdc.problems import LinearProblem
+from resilient_sdc.problems import LINEAR_KERNEL_ID, LinearProblem
 from resilient_sdc.quadrature import lobatto_rule
 from resilient_sdc.resilience import ControllerConfig, controller_policy
 from resilient_sdc.sdc import fixed_sweeps, integrate_step, predictor, sdc_sweep
@@ -118,8 +119,8 @@ def test_criterion_3_perturbed_sweep_damping():
     def body():
         rule = lobatto_rule(3)
 
-        def iterates(schedule):
-            system = LinearProblem(perturb_schedule=schedule).system(hook=KernelHook())
+        def iterates(hook):
+            system = LinearProblem().system(hook)
             sol = predictor(np.ones(1), rule, system, 0.0, 1.0)
             states = [sol.node_states.copy()]
             for k in range(2, 42):
@@ -127,13 +128,19 @@ def test_criterion_3_perturbed_sweep_damping():
                 states.append(sol.node_states.copy())
             return states
 
-        clean = iterates(None)
+        clean = iterates(KernelHook())
         predictor_error = abs(float(clean[0][2, 0]) - math.e)
         scales = [0.5, 1.5, 10.0, 100.0]
         ratios_by_scale = {}
         final_devs = []
         for s in scales:
-            perturbed = iterates({(3, 2): s})
+            # one wrong rhs evaluation: y' = s*y at sweep 3, node 2
+            hook = OneShotPerturbation(OneShotSpec(
+                step_index=0, sweep_index=3, node_index=2, kernel_id=LINEAR_KERNEL_ID,
+                offset=0, mode="type_a", scale=s,
+            ))
+            perturbed = iterates(hook)
+            assert len(hook.events) == 1
             dev = [float(np.max(np.abs(p - c))) for p, c in zip(perturbed, clean)]
             assert dev[:3] == [0.0, 0.0, 0.0]  # corruption surfaces one sweep later
             assert all(d > 0.0 for d in dev[3:11])

@@ -86,7 +86,7 @@ def test_run_config_validation():
         RunConfig(t_end=-1.0).validate()
     with pytest.raises(ValueError):
         RunConfig(output_every=0).validate()
-    for name in ("dt", "t_start", "t_end"):
+    for name in ("dt", "t_end"):
         for value in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match=f"^{name} must be finite"):
                 RunConfig(**{name: value}).validate()
@@ -128,6 +128,26 @@ def test_one_shot_positions_the_integrator_never_evaluates_are_config_errors():
     # the bounds follow the run's own node and sweep counts
     RunConfig(integrator="sdc_fixed", num_nodes=5, sweeps=6,
               one_shot=OneShotSpec(sweep_index=6, node_index=4)).validate()
+    # and its step count: the last step of a 21-step run is step 20
+    for integrator in ("rk", "sdc_fixed", "sdc_resilient"):
+        cfg = RunConfig(integrator=integrator, t_end=1.6e-4)
+        assert cfg.step_count() == 21
+        replace(cfg, one_shot=OneShotSpec(step_index=20)).validate()
+        with pytest.raises(ValueError, match="^one-shot step_index must be < 21 for a 21-step run, "
+                                             "got 21$"):
+            replace(cfg, one_shot=OneShotSpec(step_index=21)).validate()
+    with pytest.raises(ValueError, match="^one-shot step_index must be < 0 for a 0-step run"):
+        RunConfig(t_end=0.0, one_shot=OneShotSpec()).validate()
+
+
+def test_step_count_is_the_number_of_steps_a_run_takes():
+    """The count ``validate`` bounds one-shot steps with, the truncated final
+    step included, is the number of steps ``run_single`` reports."""
+    for cfg in (RunConfig(problem="linear", integrator="rk"),
+                RunConfig(problem="linear", integrator="sdc_fixed", dt=0.3),
+                RunConfig(problem="linear", integrator="sdc_resilient", t_end=0.0),
+                _ignition_cfg(integrator="rk", t_end=5.5 * _DT)):
+        assert run_single(cfg).metrics["steps"] == cfg.step_count()
 
 
 def test_sensitivity_sweep_checks_its_kernels_before_any_run(monkeypatch):
@@ -347,31 +367,15 @@ def test_sensitivity_deviation_vanishes_when_restarts_absorb_the_fault():
     assert rows[0]["deviation"] == 0.0
 
 
-def test_sensitivity_reports_unreachable_kernel_as_zero(caplog):
+def test_sensitivity_rejects_a_step_the_run_never_reaches(monkeypatch):
+    runs = []
+    monkeypatch.setattr(campaign_module, "run_single", runs.append)
     cfg = _ignition_cfg(t_end=6 * _DT)
-    with caplog.at_level("WARNING"):
-        rows = sensitivity_sweep(cfg, kernels=["gradient_T"], step_index=50)
-    assert rows == [
-        {"kernel": "gradient_T", "final_peak_T": rows[0]["final_peak_T"],
-         "deviation": 0.0, "status": "completed"}
-    ]
-    assert any("never fired" in rec.message for rec in caplog.records)
-
-
-def test_sensitivity_default_step_counts_from_a_late_start(caplog):
-    """The default fault step is a third of the steps the run actually
-    takes, counted from t_start, so it falls inside a late-starting run."""
-    cfg = _ignition_cfg(
-        integrator="sdc_fixed",
-        fault=FaultConfig(mode="off", scale=1.5),
-        t_start=45 * _DT,
-        t_end=60 * _DT,
-    )
-    with caplog.at_level("WARNING"):
-        rows = sensitivity_sweep(cfg, kernels=["reaction_rate"])
-    assert not any("never fired" in rec.message for rec in caplog.records)
-    assert rows[0]["status"] == "completed"
-    assert rows[0]["deviation"] != 0.0
+    with pytest.raises(ValueError, match="step_index must be < 6 for a 6-step run, got 50"):
+        sensitivity_sweep(cfg, kernels=["gradient_T"], step_index=50)
+    with pytest.raises(ValueError, match="step_index must be < 6 for a 6-step run, got 6"):
+        sensitivity_sweep(cfg, kernels=["gradient_T"], step_index=6)
+    assert runs == []
 
 
 def test_sensitivity_requires_the_surrogate():

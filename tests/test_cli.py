@@ -1,7 +1,6 @@
 """Command-line entry point: flags, config files, exit codes, artifacts."""
 
 import json
-import math
 import re
 
 import pytest
@@ -252,6 +251,11 @@ def test_inject_offset_past_the_kernel_array_is_a_config_error(tmp_path, capsys)
          "node_index must be < 3 for sdc_resilient, got sweep_index 1, node_index 7"),
         (["inject", "--integrator", "rk", "--sweep", "2"],
          "sweep_index must be <= 1 for rk, got sweep_index 2, node_index 0"),
+        (["sense", "--integrator", "sdc_fixed", "--t-end", "1.6e-4", "--step", "500",
+          "--kernels", "reaction_rate,assembly"],
+         "step_index must be < 21 for a 21-step run, got 500"),
+        (["inject", "--t-end", "1.6e-4", "--step", "21"],
+         "step_index must be < 21 for a 21-step run, got 21"),
     ],
 )
 def test_impossible_one_shot_faults_are_config_errors(tmp_path, capsys, argv, message):

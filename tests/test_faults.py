@@ -11,7 +11,6 @@ import pytest
 from resilient_sdc.faults import (
     FaultConfig,
     FaultInjector,
-    KernelHook,
     OneShotPerturbation,
     OneShotSpec,
     bit_flip,

@@ -3,14 +3,21 @@ integrators load no ``resilient_sdc.resilience``, and setting up a run loads
 neither ``numpy.ma`` nor the standard-library modules that only the artifact
 writers and the campaign tooling use.
 
-Each check runs in a new interpreter, so ``sys.modules`` starts clean.
+Each of those checks runs in a new interpreter, so ``sys.modules`` starts
+clean.  A last check reads the source: no module imports a name it never
+uses.
 """
 
+import ast
 import os
 import subprocess
 import sys
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+
+# The directories whose modules the unused-import check reads.
+LINTED_DIRS = ("src", "tests", "tools", "demos")
 
 # The steps of perfbench/run.py's set-up probe, with rules of 2 to 6 nodes.
 SETUP_STEPS = """
@@ -56,3 +63,66 @@ def test_run_setup_loads_only_what_a_run_uses():
     assert {"resilient_sdc.faults", "resilient_sdc.problems", "resilient_sdc.quadrature"} <= added
     unwanted = {"numpy.ma", "json", "logging", "csv", "resilient_sdc.campaign"}
     assert sorted(added & unwanted) == []
+
+
+def _imported_names(tree):
+    """(line, bound name) for every name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield node.lineno, alias.asname or alias.name
+
+
+def _used_names(tree):
+    """Names the module reads, plus the strings listed in its ``__all__``."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used.update(
+                item.value for item in ast.walk(node.value)
+                if isinstance(item, ast.Constant) and isinstance(item.value, str)
+            )
+    return used
+
+
+def unused_imports(path):
+    """``file:line: name`` for each imported name the module never uses."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    used = _used_names(tree)
+    where = os.path.relpath(path, ROOT)
+    return [f"{where}:{line}: {name}" for line, name in _imported_names(tree) if name not in used]
+
+
+def test_unused_imports_helper_names_each_unused_name(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from math import inf, nan as not_a_number\n"
+        "from json import dumps\n"
+        "__all__ = ['dumps']\n"
+        "print(os.sep, inf)\n"
+    )
+    where = os.path.relpath(str(module), ROOT)
+    assert unused_imports(str(module)) == [f"{where}:3: np", f"{where}:4: not_a_number"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    paths = sorted(
+        os.path.join(folder, name)
+        for top in LINTED_DIRS
+        for folder, _, names in os.walk(os.path.join(ROOT, top))
+        for name in names
+        if name.endswith(".py")
+    )
+    assert len(paths) > 20
+    found = [entry for path in paths for entry in unused_imports(path)]
+    assert found == [], "unused imports:\n" + "\n".join(found)

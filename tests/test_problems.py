@@ -7,9 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from resilient_sdc.faults import KernelHook
+from resilient_sdc.faults import KernelHook, OneShotPerturbation, OneShotSpec
 from resilient_sdc.problems import (
     KERNEL_IDS,
+    LINEAR_KERNEL_ID,
     IgnitionSurrogate,
     LinearProblem,
     _stencil_indices,
@@ -21,7 +22,7 @@ from resilient_sdc.problems import (
     write_snapshot_csv,
 )
 from resilient_sdc.quadrature import lobatto_rule
-from resilient_sdc.sdc import integrate, predictor, sdc_sweep
+from resilient_sdc.sdc import ODESystem, integrate, predictor, sdc_sweep
 
 # ---------------------------------------------------------------------------
 # linear problem
@@ -40,33 +41,65 @@ def test_linear_rhs_is_growth():
     np.testing.assert_array_equal(prob.initial_state(), [3.0])
 
 
-def test_perturb_schedule_overrides_rate_at_one_position():
-    prob = LinearProblem(perturb_schedule={(3, 2): 100.0})
+def _rate_override_system(rate, sweep_index, node_index):
+    """Reference: y' = y, except that the rhs evaluated at (sweep_index,
+    node_index) uses the growth rate ``rate``, read from the hook position."""
     hook = KernelHook()
-    sys_ = prob.system(hook)
-    y = np.array([2.0])
-    hook.begin_sweep(3)
-    hook.begin_node(1)
-    np.testing.assert_array_equal(sys_.rhs(y, 0.0), [2.0])
-    hook.begin_node(2)
-    np.testing.assert_array_equal(sys_.rhs(y, 0.0), [200.0])
-    hook.begin_sweep(4)
-    np.testing.assert_array_equal(sys_.rhs(y, 0.0), [2.0])
+
+    def rhs(y, t):
+        s = rate if (hook.sweep_index, hook.node_index) == (sweep_index, node_index) else 1.0
+        out = s * np.asarray(y, dtype=float)
+        hook.filter(LINEAR_KERNEL_ID, out)
+        return out
+
+    return ODESystem(rhs=rhs, hook=hook)
 
 
-def test_default_system_hook_tracks_the_position_and_applies_the_schedule():
+def _node_iterates(system, sweeps=40):
+    rule = lobatto_rule(3)
+    sol = predictor(np.ones(1), rule, system, 0.0, 1.0)
+    states = [sol.node_states.copy()]
+    for k in range(2, sweeps + 2):
+        sol = sdc_sweep(sol, rule, system, sweep_index=k)
+        states.append(sol.node_states.copy())
+    return states
+
+
+def test_one_shot_fault_on_the_derivative_kernel_matches_a_rate_override_bitwise():
+    """A type-A one-shot of scale s on the linear kernel at sweep 3, node 2
+    gives the same 41 iterates, bit for bit, as y' = s*y at that one
+    evaluation, and fires once."""
+    for scale in (0.5, 1.5, 10.0, 100.0):
+        hook = OneShotPerturbation(OneShotSpec(
+            step_index=0, sweep_index=3, node_index=2, kernel_id=LINEAR_KERNEL_ID,
+            offset=0, mode="type_a", scale=scale,
+        ))
+        faulted = _node_iterates(LinearProblem().system(hook))
+        reference = _node_iterates(_rate_override_system(scale, 3, 2))
+        assert len(faulted) == 41
+        for got, want in zip(faulted, reference):
+            assert got.tobytes() == want.tobytes()
+        assert hook.fired and len(hook.events) == 1
+        event = hook.events[0]
+        assert (event.kernel_id, event.step_index, event.sweep_index, event.node_index) == (
+            LINEAR_KERNEL_ID, 0, 3, 2)
+    # the reference does perturb: the iterate moves one sweep after the fault
+    clean = _node_iterates(LinearProblem().system())
+    assert np.array_equal(reference[2], clean[2])
+    assert not np.array_equal(reference[3], clean[3])
+
+
+def test_default_system_hook_tracks_the_position_and_counts_kernel_calls():
     """A system built without a hook gets its own, which the integrator
-    moves and the schedule reads."""
-    prob = LinearProblem(perturb_schedule={(2, 1): 100.0})
+    moves and the linear rhs counts calls on."""
+    prob = LinearProblem()
     sys_ = prob.system()
     rule = lobatto_rule(3)
     sol = predictor(prob.initial_state(), rule, sys_, 0.0, 0.1)
     assert sys_.hook.position() == (0, 1, 2)
     np.testing.assert_array_equal(sol.node_rhs[:, 0], sol.node_states[:, 0])
-    sol = sdc_sweep(sol, rule, sys_, sweep_index=2)
+    sdc_sweep(sol, rule, sys_, sweep_index=2)
     assert sys_.hook.position() == (0, 2, 2)
-    assert sol.node_rhs[1, 0] == 100.0 * sol.node_states[1, 0]
-    assert sol.node_rhs[2, 0] == sol.node_states[2, 0]
     assert sys_.hook.call_count == 5
 
 
