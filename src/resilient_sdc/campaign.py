@@ -71,7 +71,6 @@ class RunConfig:
     surrogate: IgnitionSurrogate = field(default_factory=IgnitionSurrogate)
     run_id: int = 0
     output_dir: Optional[str] = None
-    output_every: int = 1
 
     def validate(self):
         if self.problem not in _PROBLEMS:
@@ -92,8 +91,6 @@ class RunConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_end is not None and self.t_end < 0.0:
             raise ValueError(f"t_end must not be negative, got {self.t_end}")
-        if self.output_every < 1:
-            raise ValueError(f"output_every must be >= 1, got {self.output_every}")
         if self.one_shot is not None:
             kernels = (LINEAR_KERNEL_ID,) if self.problem == "linear" else KERNEL_IDS
             if self.one_shot.kernel_id not in kernels:
@@ -329,19 +326,15 @@ def _write_run_artifacts(report):
     _write_csv(os.path.join(out, "residuals.csv"), "step,sweep,residual_maxnorm", residual_rows)
 
     trajectory = report.trajectory
-    last = len(trajectory) - 1
-    sampled = [
-        pair for i, pair in enumerate(trajectory) if i % cfg.output_every == 0 or i == last
-    ]
     trajectory_rows = []
-    if sampled:
-        states = np.array([state for _, state in sampled])
+    if trajectory:
+        states = np.array([state for _, state in trajectory])
         if cfg.problem == "ignition":
             values = states[:, : cfg.surrogate.n_grid].max(axis=1)
         else:
             values = states[:, 0]
         trajectory_rows = [
-            f"{t!r},{value!r}\r\n" for (t, _), value in zip(sampled, values.tolist())
+            f"{t!r},{value!r}\r\n" for (t, _), value in zip(trajectory, values.tolist())
         ]
     header = "time,peak_T" if cfg.problem == "ignition" else "time,y"
     _write_csv(os.path.join(out, "trajectory.csv"), header, trajectory_rows)

@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: converge, sense, inject, ignite, campaign.  A JSON config file
-may supply defaults for any flag (keys match flag names with dashes
-replaced by underscores); explicit flags win.  The output directory falls
-back to the RESILIENT_SDC_OUTPUT_DIR environment variable, then ./runs.
+may supply a value for any flag of the chosen command: keys are flag names
+with dashes replaced by underscores, a value is read exactly as the flag
+reads its text (a JSON list as a comma list), and explicit flags win.
+Settings that neither gives take the library's defaults (``RunConfig``,
+``FaultConfig``, ``OneShotSpec``).  The output directory falls back to the
+RESILIENT_SDC_OUTPUT_DIR environment variable, then ./runs.
 
 Exit codes: 0 clean completion, 2 configuration error, 3 unrecoverable
 integration failure, 4 completed with some steps capped (status
@@ -29,8 +32,7 @@ from .campaign import (
     sensitivity_sweep,
 )
 from .faults import FaultConfig, OneShotSpec
-from .problems import KERNEL_IDS, LINEAR_KERNEL_ID
-from .resilience import ControllerConfig
+from .problems import LINEAR_KERNEL_ID
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,17 +43,27 @@ _RUN_STATUS_EXITS = {"clean": EXIT_OK, "capped": EXIT_CAPPED, "aborted": EXIT_UN
 
 _ENV_OUTPUT_DIR = "RESILIENT_SDC_OUTPUT_DIR"
 
+# flag name -> field of the dataclass the setting configures
+_RUN_FIELDS = {"problem": "problem", "integrator": "integrator", "nodes": "num_nodes",
+               "sweeps": "sweeps", "dt": "dt", "t_end": "t_end", "run_id": "run_id"}
+_FAULT_FIELDS = {"fault_mode": "mode", "window": "window", "scale": "scale", "seed": "seed"}
+_ONE_SHOT_FIELDS = {"step": "step_index", "sweep": "sweep_index", "node": "node_index",
+                    "kernel": "kernel_id", "offset": "offset", "mode": "mode", "scale": "scale",
+                    "bit": "bit"}
 
-def _comma_floats(text):
-    return [float(part) for part in text.split(",") if part]
+
+def _comma_list(cast):
+    """Flag type for a comma list of ``cast`` values."""
+
+    def parse(text):
+        return [cast(part.strip()) for part in text.split(",") if part.strip()]
+
+    parse.__name__ = f"comma-separated {cast.__name__}"
+    return parse
 
 
-def _comma_ints(text):
-    return [int(part) for part in text.split(",") if part]
-
-
-def _comma_strs(text):
-    return [part.strip() for part in text.split(",") if part.strip()]
+def _offset(text):
+    return text if text == "max_T" else int(text)
 
 
 def build_parser():
@@ -73,21 +85,25 @@ def build_parser():
         p.add_argument("--t-end", type=float)
         p.add_argument("--seed", type=int)
         p.add_argument("--run-id", type=int)
-        p.add_argument("--output-every", type=int)
 
     p_converge = sub.add_parser(
         "converge", help="observed-order study of the linear problem over a dt ladder"
     )
-    p_converge.add_argument("--dts", type=_comma_floats, help="comma list, geometric")
-    p_converge.add_argument("--nodes", type=_comma_ints, help="comma list of node counts")
-    p_converge.add_argument("--sweeps", type=_comma_ints, help="comma list of sweep counts")
+    p_converge.add_argument("--dts", type=_comma_list(float), default=[0.2, 0.1, 0.05, 0.025],
+                            help="comma list, geometric")
+    p_converge.add_argument("--nodes", type=_comma_list(int), default=[3],
+                            help="comma list of node counts")
+    p_converge.add_argument("--sweeps", type=_comma_list(int), default=[4],
+                            help="comma list of sweep counts")
     p_converge.add_argument("--t-end", type=float)
+    p_converge.set_defaults(func=_cmd_converge)
 
     p_sense = sub.add_parser("sense", help="per-kernel one-shot sensitivity sweep")
     add_run_options(p_sense, problem_choice=False)
     p_sense.add_argument("--step", type=int, help="step index receiving the fault")
     p_sense.add_argument("--scale", type=float, help="type-A multiplier")
-    p_sense.add_argument("--kernels", type=_comma_strs, help="comma list of kernel ids")
+    p_sense.add_argument("--kernels", type=_comma_list(str), help="comma list of kernel ids")
+    p_sense.set_defaults(func=_cmd_sense)
 
     p_inject = sub.add_parser("inject", help="single run with one scheduled fault")
     add_run_options(p_inject)
@@ -98,22 +114,25 @@ def build_parser():
     p_inject.add_argument("--sweep", type=int)
     p_inject.add_argument("--node", type=int)
     p_inject.add_argument("--kernel")
-    p_inject.add_argument("--offset", help="array index or max_T")
+    p_inject.add_argument("--offset", type=_offset, help="array index or max_T")
+    p_inject.set_defaults(func=_cmd_inject)
 
     p_ignite = sub.add_parser("ignite", help="single ignition (or linear) run")
     add_run_options(p_ignite)
     p_ignite.add_argument("--fault-mode", choices=["off", "type_a", "type_b"])
     p_ignite.add_argument("--window", type=int)
     p_ignite.add_argument("--scale", type=float)
+    p_ignite.set_defaults(func=_cmd_ignite)
 
     p_campaign = sub.add_parser("campaign", help="Monte Carlo fault campaign")
     add_run_options(p_campaign)
-    p_campaign.add_argument("--runs", type=int)
-    p_campaign.add_argument("--base-seed", type=int)
+    p_campaign.add_argument("--runs", type=int, default=50)
+    p_campaign.add_argument("--base-seed", type=int, default=0)
     p_campaign.add_argument("--workers", type=int)
     p_campaign.add_argument("--fault-mode", choices=["off", "type_a", "type_b"])
     p_campaign.add_argument("--window", type=int)
     p_campaign.add_argument("--scale", type=float)
+    p_campaign.set_defaults(func=_cmd_campaign)
 
     return parser
 
@@ -126,44 +145,51 @@ def _load_config(path):
     return loaded
 
 
-def _pick(args, config, key, default=None):
-    """Flag value if given, else config-file value, else default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+def _read_flag_value(action, value):
+    """``value`` read as ``action``'s flag reads its text, a JSON list as a comma list."""
+    items = value if isinstance(value, list) else [value]
+    if not all(type(item) in (str, int, float) for item in items):  # no null, bool or object
+        raise ValueError
+    text = ",".join(map(str, items))
+    parsed = action.type(text) if action.type else text
+    if isinstance(value, list) and not isinstance(parsed, list):
+        raise ValueError
+    return parsed
 
 
-def _output_dir(args, config):
-    explicit = _pick(args, config, "output_dir")
-    if explicit:
-        return explicit
-    return os.environ.get(_ENV_OUTPUT_DIR, "runs")
+def _parse_args(parser, argv):
+    """Parse ``argv``, with the ``--config`` file's values as the chosen command's defaults."""
+    args = parser.parse_args(argv)
+    if not args.config:
+        return args
+    config = _load_config(args.config)
+    (commands,) = [action for action in parser._actions if action.dest == "command"]
+    for action in parser._actions + commands.choices[args.command]._actions:
+        if action.dest in config and action.option_strings:
+            value = config[action.dest]
+            try:
+                # argparse runs a str default through the type again: each type here
+                # returns a str only for a str it leaves unchanged
+                action.default = _read_flag_value(action, value)
+            except ValueError:
+                raise ValueError(f"{action.dest}: {json.dumps(value)} is not a valid "
+                                 f"{action.option_strings[0]} value") from None
+    return parser.parse_args(argv)
 
 
-def _base_run_config(args, config, *, out_dir):
-    fault = FaultConfig(
-        mode=_pick(args, config, "fault_mode", "off"),
-        window=int(_pick(args, config, "window", 5580)),
-        scale=float(_pick(args, config, "scale", 1.0e4)),
-        seed=int(_pick(args, config, "seed", 0)),
-    )
-    cfg = RunConfig(
-        problem=_pick(args, config, "problem", "ignition"),
-        integrator=_pick(args, config, "integrator", "sdc_resilient"),
-        num_nodes=int(_pick(args, config, "nodes", 3)),
-        sweeps=int(_pick(args, config, "sweeps", 4)),
-        controller=ControllerConfig(),
-        dt=_pick(args, config, "dt"),
-        t_end=_pick(args, config, "t_end"),
-        fault=fault,
-        run_id=int(_pick(args, config, "run_id", 0)),
-        output_dir=out_dir,
-        output_every=int(_pick(args, config, "output_every", 1)),
-    )
-    return cfg.validate()
+def _output_dir(args):
+    return args.output_dir or os.environ.get(_ENV_OUTPUT_DIR, "runs")
+
+
+def _given(args, fields):
+    """The settings given among ``fields``, keyed by the field they set."""
+    return {field: getattr(args, flag) for flag, field in fields.items()
+            if getattr(args, flag, None) is not None}
+
+
+def _run_config(args, **fields):
+    fault = FaultConfig(**_given(args, _FAULT_FIELDS))
+    return RunConfig(fault=fault, **_given(args, _RUN_FIELDS), **fields)
 
 
 def _print_run_summary(report):
@@ -182,39 +208,24 @@ def _print_run_summary(report):
         print(f"artifacts: {report.config.output_dir}")
 
 
-def _cmd_converge(args, config):
-    rows = convergence_study(
-        "linear",
-        _pick(args, config, "dts", [0.2, 0.1, 0.05, 0.025]),
-        _pick(args, config, "nodes", [3]),
-        _pick(args, config, "sweeps", [4]),
-        t_end=float(_pick(args, config, "t_end", 1.0)),
-    )
+def _cmd_converge(args):
+    rows = convergence_study("linear", args.dts, args.nodes, args.sweeps,
+                             **_given(args, {"t_end": "t_end"}))
     print(f"{'nodes':>5} {'sweeps':>6} {'observed order':>14}")
     for row in rows:
         print(f"{row['num_nodes']:>5} {row['sweeps']:>6} {row['observed_order']:>14.3f}")
     return EXIT_OK
 
 
-def _cmd_sense(args, config, out_dir):
-    cfg = _base_run_config(args, config, out_dir=None)
-    cfg = replace(cfg, problem="ignition", output_dir=None)
-    scale = _pick(args, config, "scale")
-    if scale is not None:
-        cfg = replace(cfg, fault=replace(cfg.fault, scale=float(scale)))
-    step = _pick(args, config, "step")
-    rows = sensitivity_sweep(
-        cfg,
-        _pick(args, config, "kernels", list(KERNEL_IDS)),
-        step_index=None if step is None else int(step),
-    )
+def _cmd_sense(args):
+    rows = sensitivity_sweep(_run_config(args), args.kernels, step_index=args.step)
     print(f"{'kernel':<18} {'final_peak_T':>14} {'deviation':>12} {'status':>10}")
     for row in rows:
         print(
             f"{row['kernel']:<18} {row['final_peak_T']:>14.6g} "
             f"{row['deviation']:>12.6g} {row['status']:>10}"
         )
-    _write_sense_csv(out_dir, rows)
+    _write_sense_csv(_output_dir(args), rows)
     return EXIT_OK
 
 
@@ -229,46 +240,27 @@ def _write_sense_csv(out_dir, rows):
     print(f"artifacts: {path}")
 
 
-def _cmd_inject(args, config, out_dir):
-    cfg = _base_run_config(args, config, out_dir=out_dir)
-    default_kernel = LINEAR_KERNEL_ID if cfg.problem == "linear" else "assembly"
-    offset = _pick(args, config, "offset", 0)
-    if offset != "max_T":
-        offset = int(offset)
-    mode = _pick(args, config, "mode", "type_a")
-    spec = OneShotSpec(
-        step_index=int(_pick(args, config, "step", 0)),
-        sweep_index=int(_pick(args, config, "sweep", 1)),
-        node_index=int(_pick(args, config, "node", 0)),
-        kernel_id=_pick(args, config, "kernel", default_kernel),
-        offset=offset,
-        mode=mode,
-        scale=float(_pick(args, config, "scale", 1.0e4)),
-        bit=None if _pick(args, config, "bit") is None else int(_pick(args, config, "bit")),
-    )
-    cfg = replace(cfg, one_shot=spec, fault=replace(cfg.fault, mode="off"))
-    report = run_single(cfg)
+def _cmd_inject(args):
+    cfg = _run_config(args, output_dir=_output_dir(args))
+    shot = _given(args, _ONE_SHOT_FIELDS)
+    if cfg.problem == "linear":
+        shot.setdefault("kernel_id", LINEAR_KERNEL_ID)
+    report = run_single(replace(cfg, one_shot=OneShotSpec(**shot)))
     _print_run_summary(report)
     return _RUN_STATUS_EXITS[report.status]
 
 
-def _cmd_ignite(args, config, out_dir):
-    cfg = _base_run_config(args, config, out_dir=out_dir)
-    report = run_single(cfg)
+def _cmd_ignite(args):
+    report = run_single(_run_config(args, output_dir=_output_dir(args)))
     _print_run_summary(report)
     return _RUN_STATUS_EXITS[report.status]
 
 
-def _cmd_campaign(args, config, out_dir):
-    cfg = _base_run_config(args, config, out_dir=out_dir)
+def _cmd_campaign(args):
+    cfg = _run_config(args, output_dir=_output_dir(args))
     if cfg.fault.mode == "off":
         cfg = replace(cfg, fault=replace(cfg.fault, mode="type_b"))
-    summary = run_campaign(
-        cfg,
-        int(_pick(args, config, "runs", 50)),
-        int(_pick(args, config, "base_seed", 0)),
-        workers=int(_pick(args, config, "workers", 1)),
-    )
+    summary = run_campaign(cfg, args.runs, args.base_seed, **_given(args, {"workers": "workers"}))
     print(f"runs: {summary.runs}  completed: {len(summary.scalars)}  "
           f"crashes: {summary.crash_count}  restarts: {summary.restart_count}")
     print(f"mean: {summary.mean:.6g}  min: {summary.minimum:.6g}  "
@@ -281,27 +273,13 @@ def _cmd_campaign(args, config, out_dir):
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
-
     try:
-        config = _load_config(args.config) if args.config else {}
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        args = _parse_args(parser, argv)
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
-
-    out_dir = _output_dir(args, config)
     try:
-        if args.command == "converge":
-            return _cmd_converge(args, config)
-        if args.command == "sense":
-            return _cmd_sense(args, config, out_dir)
-        if args.command == "inject":
-            return _cmd_inject(args, config, out_dir)
-        if args.command == "ignite":
-            return _cmd_ignite(args, config, out_dir)
-        if args.command == "campaign":
-            return _cmd_campaign(args, config, out_dir)
-        parser.error(f"unknown command {args.command!r}")
+        return args.func(args)
     except ValueError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG

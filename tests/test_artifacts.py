@@ -53,14 +53,12 @@ def reference_run_csvs(report, out):
         if cfg.problem == "ignition":
             writer.writerow(["time", "peak_T"])
             n = cfg.surrogate.n_grid
-            for i, (t, state) in enumerate(report.trajectory):
-                if i % cfg.output_every == 0 or i == len(report.trajectory) - 1:
-                    writer.writerow([repr(float(t)), repr(float(np.max(state[:n])))])
+            for t, state in report.trajectory:
+                writer.writerow([repr(float(t)), repr(float(np.max(state[:n])))])
         else:
             writer.writerow(["time", "y"])
-            for i, (t, state) in enumerate(report.trajectory):
-                if i % cfg.output_every == 0 or i == len(report.trajectory) - 1:
-                    writer.writerow([repr(float(t)), repr(float(state[0]))])
+            for t, state in report.trajectory:
+                writer.writerow([repr(float(t)), repr(float(state[0]))])
 
     if cfg.problem == "ignition" and report.trajectory:
         reference_snapshot_csv(
@@ -104,12 +102,12 @@ def test_faulty_ignition_run_artifacts_match_the_reference(tmp_path, integrator)
     assert "state_final.csv" in written
 
 
-def test_sampled_trajectory_matches_the_reference(tmp_path):
-    cfg = RunConfig(integrator="rk", t_end=10 * _DT, output_every=3)
+def test_trajectory_keeps_every_step_and_matches_the_reference(tmp_path):
+    cfg = RunConfig(integrator="rk", t_end=10 * _DT)
     _run_and_compare(tmp_path, cfg)
     lines = (tmp_path / "run" / "trajectory.csv").read_bytes().split(b"\r\n")
-    # header, steps 0, 3, 6, 9, the last step (10), and the empty tail
-    assert len(lines) == 7 and lines[-1] == b""
+    # header, steps 0 to 10, and the empty tail
+    assert len(lines) == 13 and lines[-1] == b""
 
 
 def test_linear_fixed_run_artifacts_match_the_reference(tmp_path):

@@ -5,6 +5,8 @@ import re
 
 import pytest
 
+from resilient_sdc import cli
+from resilient_sdc.campaign import RunConfig
 from resilient_sdc.cli import (
     EXIT_CAPPED,
     EXIT_CONFIG,
@@ -13,6 +15,7 @@ from resilient_sdc.cli import (
     build_parser,
     main,
 )
+from resilient_sdc.faults import FaultConfig, OneShotSpec
 from resilient_sdc.problems import IgnitionSurrogate, linear_exact
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -58,11 +61,12 @@ def test_converge_reports_observed_orders(capsys):
 @pytest.mark.parametrize(
     "argv",
     [["converge", "--problem", "ignition"], ["ignite", "--streams", "2"],
-     ["campaign", "--streams", "2"]],
+     ["campaign", "--streams", "2"], ["ignite", "--output-every", "2"]],
 )
 def test_removed_options_are_usage_errors(argv, capsys):
-    """``converge`` studies only the linear problem and the injector has one
-    fault stream, so these options are rejected before anything runs."""
+    """``converge`` studies only the linear problem, the injector has one
+    fault stream and ``trajectory.csv`` keeps every step, so these options
+    are rejected before anything runs."""
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == EXIT_CONFIG
@@ -152,6 +156,73 @@ def test_flag_overrides_config_file(tmp_path, capsys):
     assert "steps: 3" in out
     final_y = float(re.search(r"final_y: (\S+)", out).group(1))
     assert final_y == pytest.approx(linear_exact(0.3), abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "command, config, flags",
+    [
+        # values their flags refuse: a config error naming the key
+        ("ignite", {"window": [96]}, None),
+        ("ignite", {"nodes": None}, None),
+        ("ignite", {"dt": "abc"}, None),
+        ("ignite", {"window": 96.7}, None),
+        ("ignite", {"nodes": 3.0}, None),
+        ("ignite", {"output_dir": None}, None),
+        # values read as their flags read them
+        ("ignite", {"t_end": "2e-4", "dt": 1}, ["--t-end", "2e-4", "--dt", "1"]),
+        ("sense", {"t_end": 2e-4, "kernels": "assembly,reaction_rate"},
+         ["--t-end", "2e-4", "--kernels", "assembly,reaction_rate"]),
+        ("converge", {"dts": "0.2,0.1,0.05"}, ["--dts", "0.2,0.1,0.05"]),
+        # JSON lists for list flags
+        ("converge", {"dts": [0.2, 0.1, 0.05], "nodes": [2, 3], "sweeps": [2]},
+         ["--dts", "0.2,0.1,0.05", "--nodes", "2,3", "--sweeps", "2"]),
+        ("sense", {"t_end": 2e-4, "kernels": ["assembly"]},
+         ["--t-end", "2e-4", "--kernels", "assembly"]),
+    ],
+)
+def test_config_values_are_read_as_their_flags_read_them(tmp_path, capsys, command, config,
+                                                          flags):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    rc = main(["--config", str(path), "--output-dir", str(out_dir), command])
+    out, err = capsys.readouterr()
+    if flags is None:
+        (key,) = config
+        assert rc == EXIT_CONFIG
+        assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1
+        assert not out_dir.exists()
+        return
+    written = {p.name: p.read_bytes() for p in out_dir.glob("*")}
+    assert main(["--output-dir", str(out_dir), command, *flags]) == rc
+    assert capsys.readouterr().out == out
+    assert {p.name: p.read_bytes() for p in out_dir.glob("*")} == written
+
+
+def test_cli_hands_the_library_its_own_defaults(tmp_path, monkeypatch):
+    """With no flags and no config file, every setting is the library's default."""
+    monkeypatch.setenv("RESILIENT_SDC_OUTPUT_DIR", str(tmp_path))
+    calls = []
+
+    class Called(Exception):
+        pass
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise Called
+
+    for name in ("run_single", "run_campaign", "sensitivity_sweep"):
+        monkeypatch.setattr(cli, name, record)
+    for command in ("ignite", "inject", "campaign", "sense"):
+        with pytest.raises(Called):
+            main([command])
+    out = str(tmp_path)
+    assert calls == [
+        ((RunConfig(output_dir=out),), {}),
+        ((RunConfig(output_dir=out, one_shot=OneShotSpec()),), {}),
+        ((RunConfig(output_dir=out, fault=FaultConfig(mode="type_b")), 50, 0), {}),
+        ((RunConfig(), None), {"step_index": None}),
+    ]
 
 
 def test_malformed_config_exits_config_error(tmp_path, capsys):
