@@ -79,8 +79,7 @@ class RunConfig:
             raise ValueError(
                 f"integrator must be one of {_INTEGRATORS}, got {self.integrator!r}"
             )
-        if self.num_nodes < 2:
-            raise ValueError(f"num_nodes must be >= 2, got {self.num_nodes}")
+        lobatto_rule(self.num_nodes)  # raises for a node count without an exact rule
         if self.sweeps < 1:
             raise ValueError(f"sweeps must be >= 1, got {self.sweeps}")
         for name in ("dt", "t_end"):
@@ -92,6 +91,9 @@ class RunConfig:
         if self.t_end is not None and self.t_end < 0.0:
             raise ValueError(f"t_end must not be negative, got {self.t_end}")
         if self.one_shot is not None:
+            if self.one_shot.offset == "max_T" and self.problem == "linear":
+                raise ValueError("one-shot offset max_T names the hottest ignition grid point; "
+                                 "the linear problem has none")
             kernels = (LINEAR_KERNEL_ID,) if self.problem == "linear" else KERNEL_IDS
             if self.one_shot.kernel_id not in kernels:
                 raise ValueError(
@@ -523,11 +525,12 @@ def convergence_study(problem, dt_list, node_counts, sweep_counts, *, t_end=1.0)
     if any(abs(r - ratios[0]) > 1e-6 * ratios[0] for r in ratios):
         raise ValueError("timesteps must form a geometric ladder")
 
+    # every rule is built, and so every node count checked, before any run
+    rules = [lobatto_rule(num_nodes) for num_nodes in node_counts]
     linear = LinearProblem()
     exact = linear.exact(t_end)
     rows = []
-    for num_nodes in node_counts:
-        rule = lobatto_rule(num_nodes)
+    for num_nodes, rule in zip(node_counts, rules):
         for sweeps in sweep_counts:
             errors = []
             for dt in dts:

@@ -3,7 +3,8 @@
 Subcommands: converge, sense, inject, ignite, campaign.  A JSON config file
 may supply a value for any flag of the chosen command: keys are flag names
 with dashes replaced by underscores, a value is read exactly as the flag
-reads its text (a JSON list as a comma list), and explicit flags win.
+reads its text (a JSON list as a comma list), and explicit flags win.  A
+key that no flag of the command or program (``output_dir``) has is an error.
 Settings that neither gives take the library's defaults (``RunConfig``,
 ``FaultConfig``, ``OneShotSpec``).  The output directory falls back to the
 RESILIENT_SDC_OUTPUT_DIR environment variable, then ./runs.
@@ -164,16 +165,21 @@ def _parse_args(parser, argv):
         return args
     config = _load_config(args.config)
     (commands,) = [action for action in parser._actions if action.dest == "command"]
-    for action in parser._actions + commands.choices[args.command]._actions:
-        if action.dest in config and action.option_strings:
-            value = config[action.dest]
-            try:
-                # argparse runs a str default through the type again: each type here
-                # returns a str only for a str it leaves unchanged
-                action.default = _read_flag_value(action, value)
-            except ValueError:
-                raise ValueError(f"{action.dest}: {json.dumps(value)} is not a valid "
-                                 f"{action.option_strings[0]} value") from None
+    flags = {name: {action.dest: action for action in parser._actions + sub._actions
+                    if action.option_strings} for name, sub in commands.choices.items()}
+    for key, value in config.items():
+        if key not in flags[args.command]:
+            others = ", ".join(name for name in flags if key in flags[name])
+            raise ValueError(f"{key}: not a flag of {args.command}"
+                             + (f" (a flag of {others})" if others else ""))
+        action = flags[args.command][key]
+        try:
+            # argparse runs a str default through the type again: each type here
+            # returns a str only for a str it leaves unchanged
+            action.default = _read_flag_value(action, value)
+        except ValueError:
+            raise ValueError(f"{key}: {json.dumps(value)} is not a valid "
+                             f"{action.option_strings[0]} value") from None
     return parser.parse_args(argv)
 
 

@@ -11,7 +11,8 @@ representation of one element (bit 63 is the sign, 62..52 the exponent,
 51..0 the mantissa).  The windowed injector fires exactly once per
 completed window of kernel calls at a uniformly drawn call index, with all
 randomness keyed by (seed, run, window) so that runs are exactly
-reproducible and windows are independent.
+reproducible and windows are independent.  Hooks learn each node's state
+with its position (``begin_node``), which the one-shot's ``max_T`` reads.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ class KernelHook:
         self.sim_time = 0.0
         self.call_count = 0
         self.events = []
-        self.observed_state = None
+        self.node_state = None
 
     def begin_step(self, step_index, sim_time):
         self.step_index = step_index
@@ -142,12 +143,10 @@ class KernelHook:
     def begin_sweep(self, sweep_index):
         self.sweep_index = sweep_index
 
-    def begin_node(self, node_index):
+    def begin_node(self, node_index, state):
+        """Enter a node (or RK stage) whose rhs is evaluated at ``state``."""
         self.node_index = node_index
-
-    def observe_state(self, state):
-        """Lets offset resolvers see the state a kernel is evaluated at."""
-        self.observed_state = state
+        self.node_state = state
 
     def position(self):
         return (self.step_index, self.sweep_index, self.node_index)
@@ -158,50 +157,54 @@ class KernelHook:
 
 
 class FaultInjector(KernelHook):
-    """Windowed random injector: one fault per completed window."""
+    """Windowed random injector: one fault per completed window.
+
+    It holds ``due_call``, the absolute index of the next fault call, and
+    that window's generator, keyed (seed, run_id, 0, window): the 0 is the
+    slot of a stream index the injector once had, so every seed still draws
+    the faults it always drew.  Mode ``off`` has no due call and no generator.
+    """
 
     def __init__(self, cfg, run_id=0):
         super().__init__(run_id=run_id)
         self.cfg = cfg
-        self.counter = 0  # call index within the current window
-        self.window_index = 0
-        self._new_window()
+        self.due_call = None if cfg.mode == "off" else self._draw(0)
 
-    def _new_window(self):
-        """Re-key the generator and draw this window's fault call.  The 0 in
-        the key is the slot of the stream index the injector once had, so
-        every seed still draws the faults it always drew."""
-        self.rng = np.random.default_rng((self.cfg.seed, self.run_id, 0, self.window_index))
-        self.fault_call = int(self.rng.integers(0, self.cfg.window))
+    @property
+    def window_index(self):
+        return self.call_count // self.cfg.window
+
+    @property
+    def counter(self):  # calls made in the current window
+        return self.call_count % self.cfg.window
+
+    def _draw(self, window):
+        """Key ``window``'s generator; returns its fault call's absolute index."""
+        self.rng = np.random.default_rng((self.cfg.seed, self.run_id, 0, window))
+        return window * self.cfg.window + int(self.rng.integers(0, self.cfg.window))
 
     def filter(self, kernel_id, array):
-        """Count one kernel call, corrupt ``array`` if it is the window's
-        drawn fault call, and start a new window after the window's last
-        call.  ``off`` mode counts calls and windows the same way."""
+        """Count one kernel call; the due call corrupts ``array``, logs the
+        event and draws the next window's fault call."""
         call_index = self.call_count
         self.call_count += 1
-        cfg = self.cfg
-        if self.counter == self.fault_call and cfg.mode != "off":
-            offset = int(self.rng.integers(0, array.size))
-            bit = int(self.rng.integers(0, 64)) if cfg.mode == "type_b" else None
-            event = corrupt(
-                array, offset, kernel_id, bit=bit, scale=cfg.scale, call_index=call_index,
-                sim_time=self.sim_time, position=self.position(), run_id=self.run_id,
-            )
-            self.events.append(event)
-        self.counter += 1
-        if self.counter == cfg.window:
-            self.counter = 0
-            self.window_index += 1
-            self._new_window()
+        if call_index != self.due_call:
+            return
+        offset = int(self.rng.integers(0, array.size))
+        bit = int(self.rng.integers(0, 64)) if self.cfg.mode == "type_b" else None
+        self.events.append(corrupt(
+            array, offset, kernel_id, bit=bit, scale=self.cfg.scale, call_index=call_index,
+            sim_time=self.sim_time, position=self.position(), run_id=self.run_id,
+        ))
+        self.due_call = self._draw(call_index // self.cfg.window + 1)
 
 
 @dataclass
 class OneShotSpec:
     """Schedule and corruption model for a single deterministic fault.
 
-    ``offset`` is a non-negative array index, or the string ``"max_T"`` to
-    resolve the hottest gridpoint of the observed state at injection time.
+    ``offset`` is a non-negative array index, or the string ``"max_T"`` for
+    the hottest ignition grid point of the state the hook's ``begin_node`` got.
     """
 
     step_index: int = 0
@@ -239,11 +242,7 @@ class OneShotPerturbation(KernelHook):
     def _resolve_offset(self, kernel_id, array):
         offset = self.spec.offset
         if offset == "max_T":
-            state = self.observed_state
-            if state is None:
-                raise ValueError("max_T offset needs an observed state")
-            n = state.size // 2
-            return int(np.argmax(state[:n]))
+            return int(np.argmax(self.node_state[: self.node_state.size // 2]))
         if offset >= array.size:
             raise ValueError(
                 f"one-shot offset {offset} is past the end of kernel {kernel_id}'s "
@@ -254,18 +253,16 @@ class OneShotPerturbation(KernelHook):
     def filter(self, kernel_id, array):
         self.call_count += 1
         spec = self.spec
-        if self.fired or kernel_id != spec.kernel_id:
+        if (self.fired or kernel_id != spec.kernel_id
+                or self.position() != (spec.step_index, spec.sweep_index, spec.node_index)):
             return
-        if self.position() != (spec.step_index, spec.sweep_index, spec.node_index):
-            return
-        event = corrupt(
+        self.events.append(corrupt(
             array, self._resolve_offset(kernel_id, array), kernel_id,
             bit=spec.bit if spec.mode == "type_b" else None, scale=spec.scale,
             call_index=self.call_count - 1, sim_time=self.sim_time, position=self.position(),
             run_id=self.run_id,
-        )
+        ))
         self.fired = True
-        self.events.append(event)
 
     def warn_if_unfired(self):
         """Log when the schedule was never reached; returns True if it fired."""

@@ -259,7 +259,6 @@ def surrogate_rhs(state, t, cfg, hook):
     dx = cfg.dx
     fields = state.reshape(2, n)
     temperature, fuel = fields
-    hook.observe_state(state)
 
     gradients = derivative_operator(fields, dx)
     hook.filter("gradient_T", gradients[0])

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonRealizableStateError
-from .sdc import all_finite, march, realizability_guard
+from .sdc import evaluate, march, realizability_guard
 
 __all__ = ["rk_step", "rk_integrate"]
 
@@ -30,24 +30,16 @@ _A.flags.writeable = _B.flags.writeable = _C.flags.writeable = False
 
 
 def rk_step(phi_n, t, dt, sys):
-    """One classical RK4 step.  Stage evaluations run through sys.rhs, so an
-    armed fault hook sees every stage exactly like an SDC sweep would."""
+    """One classical RK4 step.  Each stage is evaluated through
+    ``sdc.evaluate`` as the node of sweep 1 with the stage's index, so an
+    armed fault hook sees every stage exactly like an SDC sweep would, and
+    the finite checks and their messages are the SDC ones."""
     phi_n = np.asarray(phi_n, dtype=float)
-    hook = sys.hook
-    hook.begin_sweep(1)
+    sys.hook.begin_sweep(1)
     k = np.empty((_B.size, phi_n.size))
     for i in range(_B.size):
         stage_state = phi_n + dt * _A[i, :i].dot(k[:i])
-        if not all_finite(stage_state):
-            raise NonRealizableStateError(
-                "non-finite stage value", node_index=i, sweep_index=1
-            )
-        hook.begin_node(i)
-        k[i] = sys.rhs(stage_state, t + _C[i] * dt)
-        if not all_finite(k[i]):
-            raise NonRealizableStateError(
-                "non-finite stage rhs", node_index=i, sweep_index=1
-            )
+        k[i] = evaluate(sys, stage_state, t + _C[i] * dt, i, 1)
     return phi_n + dt * _B.dot(k)
 
 

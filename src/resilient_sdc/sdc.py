@@ -3,7 +3,8 @@
 A step starts from a first-order explicit-Euler predictor across the nodes
 and applies correction sweeps that converge to the collocation solution.
 The collocation residual is available after every sweep and doubles as the
-soft-error detection signal used by the resilience controller.
+soft-error detection signal used by the resilience controller.  Every rhs
+evaluation of every integrator, RK4 stages included, runs through ``evaluate``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ __all__ = [
     "NodeSolution",
     "SweepTrace",
     "all_finite",
+    "evaluate",
     "predictor",
     "sdc_sweep",
     "residual",
@@ -48,8 +50,8 @@ class ODESystem:
     ``integrate_resilient``) applies it when it is set.  ``hook`` is the
     kernel-level fault-injection observer, always present: a system built
     without one gets a fresh, disarmed ``KernelHook``.  Integrators notify it
-    of the current (step, sweep, node) position and kernelized right-hand
-    sides pass their return arrays through it.
+    of the (step, sweep, node) position and each node's state; kernelized
+    right-hand sides pass their return arrays through it.
     """
 
     rhs: Callable[[np.ndarray, float], np.ndarray]
@@ -109,12 +111,26 @@ def realizability_guard(state, sys):
     Non-finite components are always violations: a system's own
     ``realizability`` check reports them (see ODESystem), and a system
     without one gets a finite-check here.  The integrators call it only for
-    systems with a ``realizability``: they finite-check every state before
-    its rhs evaluation already.
+    systems with a ``realizability``: ``evaluate`` finite-checks the rest.
     """
     if sys.realizability is not None:
         return sys.realizability(state)
     return non_finite_violation(state)
+
+
+def evaluate(sys, state, t, node, sweep):
+    """``sys.rhs(state, t)`` at one node or stage, the one kernel-call path:
+    finite-check the state, hand the hook the node and the very array the rhs
+    receives, evaluate, finite-check the result.  Both checks raise
+    NonRealizableStateError at ``node`` of ``sweep``."""
+    if not all_finite(state):
+        raise NonRealizableStateError("non-finite state", node_index=node, sweep_index=sweep)
+    sys.hook.begin_node(node, state)
+    f = sys.rhs(state, t)
+    if not all_finite(f):
+        raise NonRealizableStateError("non-finite rhs evaluation", node_index=node,
+                                      sweep_index=sweep)
+    return f
 
 
 def predictor(phi_n, rule, sys, t_start, dt):
@@ -128,9 +144,7 @@ def predictor(phi_n, rule, sys, t_start, dt):
     phi_n = np.asarray(phi_n, dtype=float)
     num_nodes = rule.num_nodes
     times = t_start + dt * rule.nodes
-    hook = sys.hook
-    rhs = sys.rhs
-    hook.begin_sweep(1)
+    sys.hook.begin_sweep(1)
 
     states = np.empty((num_nodes, phi_n.size))
     rhs_vals = np.empty_like(states)
@@ -139,15 +153,7 @@ def predictor(phi_n, rule, sys, t_start, dt):
         row = states[m]
         if m > 0:
             np.add(states[m - 1], (times[m] - times[m - 1]) * rhs_vals[m - 1], out=row)
-        if not all_finite(row):
-            raise NonRealizableStateError("non-finite state", node_index=m, sweep_index=1)
-        hook.begin_node(m)
-        f = rhs(row, times[m])
-        if not all_finite(f):
-            raise NonRealizableStateError(
-                "non-finite rhs evaluation", node_index=m, sweep_index=1
-            )
-        rhs_vals[m] = f
+        rhs_vals[m] = evaluate(sys, row, times[m], m, 1)
     return NodeSolution(node_states=states, node_rhs=rhs_vals, dt=dt, times=times)
 
 
@@ -163,9 +169,7 @@ def sdc_sweep(sol, rule, sys, *, sweep_index):
     product stays its own call: one ``s_matrix @ old_rhs`` for all rows
     rounds differently for three or more nodes.
     """
-    hook = sys.hook
-    rhs = sys.rhs
-    hook.begin_sweep(sweep_index)
+    sys.hook.begin_sweep(sweep_index)
 
     times = sol.times
     dt = sol.dt
@@ -177,17 +181,7 @@ def sdc_sweep(sol, rule, sys, *, sweep_index):
         row = states[m]
         euler_diff = (times[m] - times[m - 1]) * (new_rhs[m - 1] - old_rhs[m - 1])
         np.add(states[m - 1] + euler_diff, dt * s_matrix[m - 1].dot(old_rhs), out=row)
-        if not all_finite(row):
-            raise NonRealizableStateError(
-                "non-finite state", node_index=m, sweep_index=sweep_index
-            )
-        hook.begin_node(m)
-        f = rhs(row, times[m])
-        if not all_finite(f):
-            raise NonRealizableStateError(
-                "non-finite rhs evaluation", node_index=m, sweep_index=sweep_index
-            )
-        new_rhs[m] = f
+        new_rhs[m] = evaluate(sys, row, times[m], m, sweep_index)
     return NodeSolution(node_states=states, node_rhs=new_rhs, dt=dt, times=times)
 
 

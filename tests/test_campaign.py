@@ -80,6 +80,9 @@ def test_run_config_validation():
         RunConfig(integrator="leapfrog").validate()
     with pytest.raises(ValueError):
         RunConfig(num_nodes=1).validate()
+    RunConfig(num_nodes=8).validate()
+    with pytest.raises(ValueError, match="exact only up to 8 nodes, got 9"):
+        RunConfig(num_nodes=9).validate()
     with pytest.raises(ValueError):
         RunConfig(dt=-0.1).validate()
     with pytest.raises(ValueError):
@@ -96,6 +99,11 @@ def test_run_config_validation():
                             ("linear", "assembly")):
         with pytest.raises(ValueError, match=f"one-shot kernel must be one of .* got '{kernel}'"):
             RunConfig(problem=problem, one_shot=OneShotSpec(kernel_id=kernel)).validate()
+    # max_T reads the ignition state's temperatures, which the linear problem lacks
+    RunConfig(one_shot=OneShotSpec(offset="max_T")).validate()
+    with pytest.raises(ValueError, match="max_T names the hottest ignition grid point"):
+        RunConfig(problem="linear",
+                  one_shot=OneShotSpec(kernel_id=LINEAR_KERNEL_ID, offset="max_T")).validate()
 
 
 def test_one_shot_positions_the_integrator_never_evaluates_are_config_errors():
@@ -392,13 +400,20 @@ def test_convergence_study_orders():
     assert 0.7 <= by_sweeps[1] <= 1.3
 
 
-def test_convergence_study_input_validation():
+def test_convergence_study_input_validation(monkeypatch):
     with pytest.raises(ValueError):
         convergence_study("linear", [0.2, 0.1], [3], [4])
     with pytest.raises(ValueError):
         convergence_study("linear", [0.2, 0.1, 0.07], [3], [4])
     with pytest.raises(ValueError):
         convergence_study("linear", [0.2, -0.1, 0.05], [3], [4])
+    # every node count is checked before the first integration
+    calls = []
+    monkeypatch.setattr(campaign_module, "integrate", lambda *args: calls.append(args))
+    for node_counts in ([3, 9], [3, 1]):
+        with pytest.raises(ValueError):
+            convergence_study("linear", [0.2, 0.1, 0.05], node_counts, [4])
+    assert calls == []
 
 
 def test_convergence_study_supports_only_the_linear_problem(monkeypatch):

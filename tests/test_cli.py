@@ -199,6 +199,48 @@ def test_config_values_are_read_as_their_flags_read_them(tmp_path, capsys, comma
     assert {p.name: p.read_bytes() for p in out_dir.glob("*")} == written
 
 
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("ignite", {"t-end": 2e-4, "problem": "linear", "integrator": "rk"},
+         "t-end: not a flag of ignite\n"),
+        ("ignite", {"t_end": 2e-4, "kernels": ["assembly"]},
+         "kernels: not a flag of ignite (a flag of sense)\n"),
+        ("converge", {"window": 96},
+         "window: not a flag of converge (a flag of ignite, campaign)\n"),
+        ("inject", {"output_dir": 3, "command": "ignite"}, "command: not a flag of inject\n"),
+    ],
+)
+def test_config_keys_that_name_no_flag_of_the_command_are_config_errors(
+        tmp_path, capsys, monkeypatch, command, config, message):
+    """``output_dir`` is a flag of every command: its key is read, here to
+    where nothing must be written."""
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    rc = main(["--config", str(path), "--output-dir", str(tmp_path / "out"), command])
+    out, err = capsys.readouterr()
+    assert rc == EXIT_CONFIG
+    assert (out, err) == ("", f"config error: {message}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ignite", "--problem", "linear", "--nodes", "25"], ["converge", "--nodes", "3,9"]],
+)
+def test_rules_past_eight_nodes_are_config_errors(tmp_path, capsys, monkeypatch, argv):
+    calls = []
+    for name in ("integrate", "integrate_resilient", "rk_integrate"):
+        monkeypatch.setattr(f"resilient_sdc.campaign.{name}", lambda *args: calls.append(args))
+    rc = main(["--output-dir", str(tmp_path / "out"), *argv])
+    out, err = capsys.readouterr()
+    assert rc == EXIT_CONFIG
+    assert out == "" and err.startswith("config error: ") and err.count("\n") == 1
+    assert "8" in err
+    assert calls == [] and not (tmp_path / "out").exists()
+
+
 def test_cli_hands_the_library_its_own_defaults(tmp_path, monkeypatch):
     """With no flags and no config file, every setting is the library's default."""
     monkeypatch.setenv("RESILIENT_SDC_OUTPUT_DIR", str(tmp_path))
@@ -327,6 +369,8 @@ def test_inject_offset_past_the_kernel_array_is_a_config_error(tmp_path, capsys)
          "step_index must be < 21 for a 21-step run, got 500"),
         (["inject", "--t-end", "1.6e-4", "--step", "21"],
          "step_index must be < 21 for a 21-step run, got 21"),
+        (["inject", "--problem", "linear", "--offset", "max_T"],
+         "max_T names the hottest ignition grid point"),
     ],
 )
 def test_impossible_one_shot_faults_are_config_errors(tmp_path, capsys, argv, message):

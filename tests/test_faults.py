@@ -120,6 +120,7 @@ def test_exactly_one_fault_per_window():
 def test_off_mode_advances_the_window_counter_without_events():
     cfg_off = FaultConfig(mode="off", window=50, seed=7)
     hook = FaultInjector(cfg_off)
+    assert hook.due_call is None  # and no generator is built
     _drive(hook, 50 * 4)
     assert hook.events == []
     assert hook.call_count == 200
@@ -235,7 +236,7 @@ def test_maybe_inject_counter_walks_windows():
 
 
 def _window_state(hook):
-    return (hook.counter, hook.window_index, hook.fault_call)
+    return (hook.counter, hook.window_index)
 
 
 def _event_records(events):
@@ -251,7 +252,9 @@ def test_filter_matches_a_maybe_inject_loop_call_by_call(window, members, mode, 
     ``maybe_inject`` on every call.  ``members`` injectors with distinct
     run ids, as in a campaign, each see the same calls and each match their
     own reference.  ``ragged`` varies the kernel array size from call to
-    call, down to one element, so the offset draws see every size."""
+    call, down to one element, so the offset draws see every size.  Until
+    a window's fault fires, an armed injector's one due call index is the
+    reference's fault call in that window, as an absolute call index."""
     cfg = FaultConfig(mode=mode, window=window, seed=17)
     hooks = [FaultInjector(cfg, run_id=4 + m) for m in range(members)]
     reference = [InjectionState.start(cfg, run_id=4 + m) for m in range(members)]
@@ -263,7 +266,7 @@ def test_filter_matches_a_maybe_inject_loop_call_by_call(window, members, mode, 
         for hook, state, events in zip(hooks, reference, reference_events):
             hook.begin_step(call // 20, 0.5 * call)
             hook.begin_sweep(call % 5)
-            hook.begin_node(call % 3)
+            hook.begin_node(call % 3, values)
             array, reference_array = values.copy(), values.copy()
             hook.filter(kernel, array)
             event = maybe_inject(
@@ -280,6 +283,8 @@ def test_filter_matches_a_maybe_inject_loop_call_by_call(window, members, mode, 
             assert array.tobytes() == reference_array.tobytes()
             assert _window_state(hook) == _window_state(state)
             assert _event_records(hook.events) == _event_records(events)
+            if mode != "off" and state.counter <= state.fault_call:
+                assert hook.due_call == state.window_index * window + state.fault_call
     for hook in hooks:
         assert hook.window_index >= 5
         if mode == "off":
@@ -296,7 +301,7 @@ def test_filter_matches_a_maybe_inject_loop_call_by_call(window, members, mode, 
 def _position_hook(hook, step, sweep, node):
     hook.begin_step(step, 0.25)
     hook.begin_sweep(sweep)
-    hook.begin_node(node)
+    hook.begin_node(node, np.ones(4))
 
 
 def test_one_shot_fires_exactly_once_at_position():
@@ -332,7 +337,7 @@ def test_one_shot_max_t_offset_targets_the_hottest_point():
     hook = OneShotPerturbation(spec)
     _position_hook(hook, 0, 1, 0)
     state = np.concatenate((np.array([300.0, 900.0, 400.0]), np.ones(3)))
-    hook.observe_state(state)
+    hook.begin_node(0, state)
     array = np.array([1.0, 1.0, 1.0])
     hook.filter("reaction_rate", array)
     assert hook.events[0].array_offset == 1
@@ -385,7 +390,7 @@ def test_event_record_carries_full_context():
     hook = FaultInjector(cfg, run_id=6)
     hook.begin_step(4, 1.5)
     hook.begin_sweep(2)
-    hook.begin_node(1)
+    hook.begin_node(1, np.ones(8))
     _drive(hook, 5)
     record = hook.events[0].to_record()
     expected_keys = {

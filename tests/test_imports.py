@@ -1,7 +1,8 @@
 """What a fresh process loads: the package root imports no submodule, the
 integrators load no ``resilient_sdc.resilience``, and setting up a run loads
 neither ``numpy.ma`` nor the standard-library modules that only the artifact
-writers and the campaign tooling use.
+writers and the campaign tooling use, nor ``numpy.random``, which only an
+armed injector draws from.
 
 Each of those checks runs in a new interpreter, so ``sys.modules`` starts
 clean.  A last check reads the source: no module imports a name it never
@@ -61,7 +62,8 @@ def test_integrators_load_no_resilience_module():
 def test_run_setup_loads_only_what_a_run_uses():
     added = _modules_added_by(SETUP_STEPS)
     assert {"resilient_sdc.faults", "resilient_sdc.problems", "resilient_sdc.quadrature"} <= added
-    unwanted = {"numpy.ma", "json", "logging", "csv", "resilient_sdc.campaign"}
+    # a disarmed injector draws nothing, so nothing loads numpy.random
+    unwanted = {"numpy.ma", "numpy.random", "json", "logging", "csv", "resilient_sdc.campaign"}
     assert sorted(added & unwanted) == []
 
 

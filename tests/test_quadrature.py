@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from resilient_sdc.quadrature import (
+    MAX_NODES,
     integration_matrix,
     lobatto_nodes,
     lobatto_rule,
@@ -65,6 +66,15 @@ def test_too_few_nodes_rejected():
         lobatto_nodes(1)
 
 
+def test_rules_past_exactness_rejected():
+    """Nine nodes integrate a monomial 2.4e-12 off, past the 1e-12 bound
+    that eight nodes meet."""
+    assert MAX_NODES == 8
+    for num_nodes in (9, 25):
+        with pytest.raises(ValueError, match="exact only up to 8 nodes, got"):
+            lobatto_rule(num_nodes)
+
+
 def test_three_node_matrix_is_the_hand_derived_one():
     rule = lobatto_rule(3)
     np.testing.assert_allclose(rule.q_matrix, THREE_NODE_Q, atol=5e-15, rtol=0.0)
@@ -78,7 +88,7 @@ def test_weights_row_matches_analytic_values(num_nodes):
     )
 
 
-@pytest.mark.parametrize("num_nodes", [2, 3, 4, 5])
+@pytest.mark.parametrize("num_nodes", [2, 3, 4, 5, 6, 7, 8])
 def test_monomials_integrate_exactly(num_nodes):
     """Row m integrates t^p over [0, t_m] exactly for p <= num_nodes - 1."""
     rule = lobatto_rule(num_nodes)

@@ -133,14 +133,12 @@ def _reference_rk_step(phi_n, t, dt, sys):
     for i in range(rk._B.size):
         stage_state = phi_n + dt * (rk._A[i, :i] @ k[:i])
         if not np.isfinite(stage_state).all():
-            raise NonRealizableStateError(
-                "non-finite stage value", node_index=i, sweep_index=1
-            )
-        hook.begin_node(i)
+            raise NonRealizableStateError("non-finite state", node_index=i, sweep_index=1)
+        hook.begin_node(i, stage_state)
         k[i] = sys.rhs(stage_state, t + rk._C[i] * dt)
         if not np.isfinite(k[i]).all():
             raise NonRealizableStateError(
-                "non-finite stage rhs", node_index=i, sweep_index=1
+                "non-finite rhs evaluation", node_index=i, sweep_index=1
             )
     return phi_n + dt * (rk._B @ k)
 
@@ -186,10 +184,10 @@ def test_non_finite_stage_values_raise_where_the_reference_raises():
                 reference = _run_rk_step(_reference_rk_step, phi0, sys_)
             assert outcome == reference, (stage, value)
             if not np.isfinite(value):
-                expected = f"non-finite stage rhs (sweep 1, node {stage})"
+                expected = f"non-finite rhs evaluation (sweep 1, node {stage})"
                 assert outcome[:4] == ("raised", expected, stage, 1)
             elif stage < 3:
-                expected = f"non-finite stage value (sweep 1, node {stage + 1})"
+                expected = f"non-finite state (sweep 1, node {stage + 1})"
                 assert outcome[:4] == ("raised", expected, stage + 1, 1)
             else:
                 assert outcome[0] == "completed"
@@ -198,5 +196,22 @@ def test_non_finite_stage_values_raise_where_the_reference_raises():
     bad_start[1] = np.nan
     sys_ = _planted_system(None, 0.0)
     outcome = _run_rk_step(rk_step, bad_start, sys_)
-    assert outcome == ("raised", "non-finite stage value (sweep 1, node 0)", 0, 1, ())
+    assert outcome == ("raised", "non-finite state (sweep 1, node 0)", 0, 1, ())
     assert outcome == _run_rk_step(_reference_rk_step, bad_start, sys_)
+
+
+def test_a_non_finite_stage_state_never_reaches_the_rhs():
+    """1e300 planted at stage 0, 1 or 2 makes the next stage value
+    overflow.  The stage evaluation raises before that state reaches the
+    rhs, so every rhs input is finite and the kernel-call count is the
+    reference's."""
+    phi0 = np.array([1.0, -0.0, 2.0])
+    for stage in range(rk._B.size - 1):
+        systems = [_planted_system((1, stage), 1.0e300) for _ in range(2)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcome = _run_rk_step(rk_step, phi0, systems[0])
+            _run_rk_step(_reference_rk_step, phi0, systems[1])
+        hook, reference_hook = (sys_.hook for sys_ in systems)
+        assert outcome[:2] == ("raised", f"non-finite state (sweep 1, node {stage + 1})")
+        assert all(hook.inputs_finite)
+        assert hook.call_count == reference_hook.call_count == stage + 1

@@ -10,8 +10,10 @@ import pytest
 
 from resilient_sdc.errors import NonRealizableStateError
 from resilient_sdc.faults import KernelHook
-from resilient_sdc.problems import KERNEL_IDS, IgnitionSurrogate, LinearProblem
+from resilient_sdc.problems import KERNEL_IDS, LINEAR_KERNEL_ID, IgnitionSurrogate, LinearProblem
 from resilient_sdc.quadrature import lobatto_rule
+from resilient_sdc.resilience import ControllerConfig, integrate_resilient
+from resilient_sdc.rk import rk_integrate
 from resilient_sdc.sdc import (
     NodeSolution,
     ODESystem,
@@ -352,7 +354,7 @@ def _reference_predictor(phi_n, rule, sys, t_start, dt):
 
     def evaluate(state, m):
         if sys.hook is not None:
-            sys.hook.begin_node(m)
+            sys.hook.begin_node(m, state)
         f = sys.rhs(state, times[m])
         if not np.isfinite(f).all():
             raise NonRealizableStateError("non-finite rhs evaluation", node_index=m, sweep_index=1)
@@ -387,7 +389,7 @@ def _reference_sweep(sol, rule, sys, *, sweep_index=None):
                 "non-finite state", node_index=m + 1, sweep_index=sweep_index
             )
         if sys.hook is not None:
-            sys.hook.begin_node(m + 1)
+            sys.hook.begin_node(m + 1, new_states[m + 1])
         f = sys.rhs(new_states[m + 1], times[m + 1])
         if not np.isfinite(f).all():
             raise NonRealizableStateError(
@@ -456,15 +458,22 @@ def test_in_place_sweeps_and_residuals_are_bitwise_equal_to_the_reference(num_no
 def _planted_system(plant, value):
     """rhs -1e-12 * y, except at the (sweep, node) ``plant``, where every
     component is ``value``: inf or NaN fails the rhs check there, and 1e300
-    times a width of dt = 1e10 overflows the next state formed from it."""
+    times a width of dt = 1e10 overflows the next state formed from it.
+    The rhs is one kernel, so the hook counts its calls, and it records
+    whether each state it received was finite."""
     hook = KernelHook()
     hook.evaluated = []
+    hook.inputs_finite = []
 
     def rhs(y, t):
         hook.evaluated.append((hook.sweep_index, hook.node_index))
+        hook.inputs_finite.append(bool(np.isfinite(y).all()))
         if (hook.sweep_index, hook.node_index) == plant:
-            return np.full_like(y, value)
-        return y * -1.0e-12
+            out = np.full_like(y, value)
+        else:
+            out = y * -1.0e-12
+        hook.filter(LINEAR_KERNEL_ID, out)
+        return out
 
     return ODESystem(rhs=rhs, hook=hook)
 
@@ -515,3 +524,59 @@ def test_non_finite_values_raise_where_the_reference_raises(num_nodes):
     assert outcome == _run_sweeps(
         _reference_predictor, _reference_sweep, bad_start, rule, sys_, sweeps
     )
+
+
+@pytest.mark.parametrize("num_nodes", [2, 3, 5])
+def test_a_non_finite_state_never_reaches_the_rhs(num_nodes):
+    """1e300 planted at any node a sweep evaluates, but the last node of the
+    last sweep, makes a later state of the step overflow.  The node
+    evaluation raises before that state reaches the rhs, so every rhs input
+    is finite and the kernel-call count is the reference's."""
+    rule = lobatto_rule(num_nodes)
+    phi0 = np.array([1.0, -0.0, 2.0])
+    sweeps = 3
+    for sweep in range(1, sweeps + 1):
+        for node in range(0 if sweep == 1 else 1, num_nodes):  # node 0 is the predictor's
+            systems = [_planted_system((sweep, node), 1.0e300) for _ in range(2)]
+            with np.errstate(over="ignore", invalid="ignore"):
+                outcome = _run_sweeps(predictor, sdc_sweep, phi0, rule, systems[0], sweeps)
+                _run_sweeps(_reference_predictor, _reference_sweep, phi0, rule, systems[1], sweeps)
+            hook, reference_hook = (sys_.hook for sys_ in systems)
+            if (sweep, node) != (sweeps, num_nodes - 1):
+                assert outcome[0] == "raised" and outcome[1].startswith("non-finite state ")
+            assert all(hook.inputs_finite), (sweep, node)
+            assert hook.call_count == reference_hook.call_count == len(hook.evaluated)
+
+
+class _StateRecordingHook(KernelHook):
+    """Keeps every state ``begin_node`` hands it."""
+
+    def __init__(self):
+        super().__init__()
+        self.states = []
+
+    def begin_node(self, node_index, state):
+        super().begin_node(node_index, state)
+        self.states.append(state)
+
+
+@pytest.mark.parametrize("integrator", ["sdc_fixed", "sdc_resilient", "rk"])
+def test_the_hook_learns_the_very_array_the_rhs_receives(integrator):
+    received = []
+
+    def rhs(y, t):
+        received.append(y)
+        return -0.5 * y
+
+    hook = _StateRecordingHook()
+    sys_ = ODESystem(rhs=rhs, hook=hook)
+    phi0, rule = np.array([1.0, 2.0]), lobatto_rule(3)
+    if integrator == "sdc_fixed":
+        integrate(phi0, 0.0, 0.3, 0.1, rule, sys_, 3)
+    elif integrator == "sdc_resilient":
+        integrate_resilient(phi0, 0.0, 0.3, 0.1, rule, sys_, ControllerConfig())
+    else:
+        rk_integrate(phi0, 0.0, 0.3, 0.1, sys_)
+    assert len(received) == len(hook.states) > 3 * 2
+    assert all(state is y for state, y in zip(hook.states, received))
+    assert hook.node_state is received[-1]
