@@ -1,5 +1,11 @@
 """Experiment drivers: single runs, Monte Carlo fault campaigns, kernel
-sensitivity sweeps, and timestep convergence studies."""
+sensitivity sweeps, and timestep convergence studies.
+
+This module writes every artifact file the package makes: CSV in the excel
+dialect with ``repr`` floats (``_write_csv``), JSON indented by two spaces
+(``_write_json``) and JSON lines (``_write_jsonl``, the event log of
+``FaultEvent.to_record()`` records).  Other modules do no file output.
+"""
 
 from __future__ import annotations
 
@@ -11,27 +17,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonRealizableStateError, UnrecoverableStepError
-from .faults import (
-    FaultConfig,
-    FaultInjector,
-    KernelHook,
-    OneShotPerturbation,
-    OneShotSpec,
-    write_event_log,
-)
+from .errors import IntegrationError
+from .faults import FaultConfig, FaultInjector, KernelHook, OneShotPerturbation, OneShotSpec
 from .problems import (
-    KERNEL_IDS,
-    LINEAR_KERNEL_ID,
-    IgnitionSurrogate,
-    LinearProblem,
-    ignition_metrics,
-    write_snapshot_csv,
+    KERNEL_IDS, LINEAR_KERNEL_ID, IgnitionSurrogate, LinearProblem, ignition_metrics,
 )
 from .quadrature import lobatto_rule
 from .resilience import ControllerConfig, integrate_resilient
 from .rk import rk_integrate
-from .sdc import integrate, step_times
+from .sdc import fixed_sweeps, integrate, step_times
 
 __all__ = [
     "RunConfig",
@@ -215,7 +209,11 @@ def _build_system(cfg, hook):
 
 
 def run_single(cfg):
-    """Execute one configured run and (optionally) write its artifacts.
+    """Execute one configured run and, when ``cfg.output_dir`` is set, write
+    its artifacts there: ``events.jsonl``, ``residuals.csv``,
+    ``trajectory.csv``, ``metrics.json``, the ignition problem's
+    ``state_initial.csv`` and ``state_final.csv``, and the linear
+    fixed-sweep run's ``error_history.csv``.
 
     Returns a RunReport; integration failures are reported with status
     ``aborted`` rather than raised, so campaign accounting stays simple.
@@ -249,7 +247,7 @@ def run_single(cfg):
             trajectory, traces = integrate_resilient(
                 phi0, 0.0, t_end, dt, rule, sys, cfg.controller
             )
-    except (NonRealizableStateError, UnrecoverableStepError) as exc:
+    except IntegrationError as exc:
         # An aborted run keeps the traces of the steps it completed.
         status, error, aborted, traces = "aborted", str(exc), exc, exc.traces
 
@@ -263,9 +261,8 @@ def run_single(cfg):
     metrics = _collect_metrics(cfg, problem, trajectory, traces, hook, status, dt)
     if aborted is not None:
         metrics["steps"] = aborted.step_index
-        if isinstance(aborted, UnrecoverableStepError):
-            # The restarts of the step that failed are in no trace.
-            metrics["restarts"] += aborted.restarts
+        # The restarts of the step that failed are in no trace.
+        metrics["restarts"] += aborted.restarts
     report = RunReport(
         config=cfg,
         status=status,
@@ -314,11 +311,10 @@ def _write_run_artifacts(report):
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
 
-    write_event_log(
-        os.path.join(out, "events.jsonl"),
-        report.events,
-        unfired_warning=report.one_shot_fired is False,
-    )
+    records = [event.to_record() for event in report.events]
+    if report.one_shot_fired is False:
+        records.append({"warning": "one-shot schedule never reached"})
+    _write_jsonl(os.path.join(out, "events.jsonl"), records)
 
     residual_rows = [
         f"{step},{sweep},{norm!r}\r\n"
@@ -342,24 +338,43 @@ def _write_run_artifacts(report):
     _write_csv(os.path.join(out, "trajectory.csv"), header, trajectory_rows)
 
     if cfg.problem == "ignition" and trajectory:
-        write_snapshot_csv(os.path.join(out, "state_initial.csv"), cfg.surrogate, trajectory[0][1])
-        write_snapshot_csv(os.path.join(out, "state_final.csv"), cfg.surrogate, trajectory[-1][1])
+        n = cfg.surrogate.n_grid
+        xs = [f"{x!r}," for x in cfg.surrogate.grid().tolist()]
+        for name, (_, state) in (("state_initial.csv", trajectory[0]),
+                                 ("state_final.csv", trajectory[-1])):
+            snapshot_rows = [
+                f"{x}{temperature!r},{fuel!r}\r\n"
+                for x, temperature, fuel in zip(xs, state[:n].tolist(), state[n:].tolist())
+            ]
+            _write_csv(os.path.join(out, name), "x,T,Y", snapshot_rows)
 
     if report.error_history:
         error_rows = [f"{step},{sweep},{err!r}\r\n" for step, sweep, err in report.error_history]
         _write_csv(os.path.join(out, "error_history.csv"), "step,sweep,abs_error", error_rows)
 
-    with open(os.path.join(out, "metrics.json"), "w") as fh:
-        json.dump(report.metrics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "metrics.json"), report.metrics)
 
 
 def _write_csv(path, header, rows):
     """Write a header and rows already formatted with their CRLF line ends,
     in one write: the bytes a ``csv.writer`` (excel dialect) writes for
-    unquoted fields."""
+    unquoted fields, as a float's ``repr`` holds no comma, quote or line
+    break."""
     with open(path, "w", newline="") as fh:
         fh.write(header + "\r\n" + "".join(rows))
+
+
+def _write_json(path, record):
+    """Write ``record`` as JSON with sorted keys, indented by two spaces."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
+
+
+def _write_jsonl(path, records):
+    """Write one JSON line per record, keys sorted.  Event records carry
+    their floats as exact hex bit patterns too, so the log round-trips."""
+    with open(path, "w") as fh:
+        fh.write("".join(json.dumps(record, sort_keys=True) + "\n" for record in records))
 
 
 def _campaign_member_config(cfg, run_index, base_seed):
@@ -439,9 +454,7 @@ def _write_campaign_artifacts(cfg, base_seed, rows, summary):
     record = asdict(summary)
     record["base_seed"] = base_seed
     record["integrator"] = cfg.integrator
-    with open(os.path.join(out, "summary.json"), "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "summary.json"), record)
 
     finite = [s for s in summary.scalars if math.isfinite(s)]
     histogram_rows = []
@@ -462,9 +475,11 @@ def sensitivity_sweep(cfg, kernels=None, *, step_index=None):
     configured scale, default 1e4) applied to that kernel's return array at
     the hottest gridpoint, during the first rhs evaluation of the chosen
     step (default: a third of the way through the run).  Returns one row
-    per kernel with the final-peak deviation.  Every kernel's run is
-    configured and validated before the baseline runs, so an unknown kernel
-    id or a step the run never reaches fails at once.
+    per kernel with the final-peak deviation, and writes the rows to
+    ``sensitivity.csv`` in ``cfg.output_dir`` when it is set; the runs
+    themselves write nothing.  Every kernel's run is configured and
+    validated before the baseline runs, so an unknown kernel id or a step
+    the run never reaches fails at once.
     """
     cfg.validate()
     if cfg.problem != "ignition":
@@ -503,6 +518,14 @@ def sensitivity_sweep(cfg, kernels=None, *, step_index=None):
                 "status": "completed",
             }
         )
+    if cfg.output_dir is not None:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+        lines = [
+            f"{row['kernel']},{row['final_peak_T']!r},{row['deviation']!r},{row['status']}\r\n"
+            for row in rows
+        ]
+        _write_csv(os.path.join(cfg.output_dir, "sensitivity.csv"),
+                   "kernel,final_peak_T,deviation,status", lines)
     return rows
 
 
@@ -525,8 +548,11 @@ def convergence_study(problem, dt_list, node_counts, sweep_counts, *, t_end=1.0)
     if any(abs(r - ratios[0]) > 1e-6 * ratios[0] for r in ratios):
         raise ValueError("timesteps must form a geometric ladder")
 
-    # every rule is built, and so every node count checked, before any run
+    # every rule and sweep policy is built, and so every node and sweep
+    # count checked, before any run
     rules = [lobatto_rule(num_nodes) for num_nodes in node_counts]
+    for sweeps in sweep_counts:
+        fixed_sweeps(sweeps)
     linear = LinearProblem()
     exact = linear.exact(t_end)
     rows = []

@@ -4,7 +4,8 @@ Subcommands: converge, sense, inject, ignite, campaign.  A JSON config file
 may supply a value for any flag of the chosen command: keys are flag names
 with dashes replaced by underscores, a value is read exactly as the flag
 reads its text (a JSON list as a comma list), and explicit flags win.  A
-key that no flag of the command or program (``output_dir``) has is an error.
+key that names no flag of the command, nor the program's ``output_dir``, is
+an error; so are ``config`` and ``help``.
 Settings that neither gives take the library's defaults (``RunConfig``,
 ``FaultConfig``, ``OneShotSpec``).  The output directory falls back to the
 RESILIENT_SDC_OUTPUT_DIR environment variable, then ./runs.
@@ -24,14 +25,7 @@ import os
 import sys as _sys
 from dataclasses import replace
 
-from .campaign import (
-    RunConfig,
-    _write_csv,
-    convergence_study,
-    run_campaign,
-    run_single,
-    sensitivity_sweep,
-)
+from .campaign import RunConfig, convergence_study, run_campaign, run_single, sensitivity_sweep
 from .faults import FaultConfig, OneShotSpec
 from .problems import LINEAR_KERNEL_ID
 
@@ -165,8 +159,10 @@ def _parse_args(parser, argv):
         return args
     config = _load_config(args.config)
     (commands,) = [action for action in parser._actions if action.dest == "command"]
+    # the flags a file may set: the command's and the program's, bar help and config
     flags = {name: {action.dest: action for action in parser._actions + sub._actions
-                    if action.option_strings} for name, sub in commands.choices.items()}
+                    if action.option_strings and action.dest not in ("help", "config")}
+             for name, sub in commands.choices.items()}
     for key, value in config.items():
         if key not in flags[args.command]:
             others = ", ".join(name for name in flags if key in flags[name])
@@ -224,26 +220,16 @@ def _cmd_converge(args):
 
 
 def _cmd_sense(args):
-    rows = sensitivity_sweep(_run_config(args), args.kernels, step_index=args.step)
+    cfg = _run_config(args, output_dir=_output_dir(args))
+    rows = sensitivity_sweep(cfg, args.kernels, step_index=args.step)
     print(f"{'kernel':<18} {'final_peak_T':>14} {'deviation':>12} {'status':>10}")
     for row in rows:
         print(
             f"{row['kernel']:<18} {row['final_peak_T']:>14.6g} "
             f"{row['deviation']:>12.6g} {row['status']:>10}"
         )
-    _write_sense_csv(_output_dir(args), rows)
+    print(f"artifacts: {os.path.join(cfg.output_dir, 'sensitivity.csv')}")
     return EXIT_OK
-
-
-def _write_sense_csv(out_dir, rows):
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "sensitivity.csv")
-    lines = [
-        f"{row['kernel']},{row['final_peak_T']!r},{row['deviation']!r},{row['status']}\r\n"
-        for row in rows
-    ]
-    _write_csv(path, "kernel,final_peak_T,deviation,status", lines)
-    print(f"artifacts: {path}")
 
 
 def _cmd_inject(args):

@@ -3,25 +3,37 @@
 from __future__ import annotations
 
 
-class NonRealizableStateError(RuntimeError):
+class IntegrationError(RuntimeError):
+    """A run stopped at a step it could not complete.
+
+    ``sdc.march`` sets ``step_index`` (None until then) and the completed
+    steps' ``SweepTrace`` list (``traces``, empty for RK) as the error
+    propagates.  ``restarts`` counts the restarts of the failing step: 0
+    unless its restart budget ran out.  The message is built from the
+    fields when it is read, so it names the step too.
+    """
+
+    def __init__(self, detail, *, restarts=0):
+        super().__init__(detail)
+        self.detail = detail
+        self.step_index = None
+        self.traces = []
+        self.restarts = restarts
+
+
+class NonRealizableStateError(IntegrationError):
     """A sweep or stage produced a state outside the realizable set.
 
     Raised for non-finite states or right-hand-side evaluations, and for
     realizability-guard violations (for example a temperature outside the
     configured bounds).  Carries enough position information to attribute
-    the failure to a node and sweep; ``sdc.march`` sets ``step_index``
-    (None until then) and the completed steps' ``SweepTrace`` list
-    (``traces``, empty for RK) as the error propagates.  The message is
-    built from the fields when it is read, so it names the step too.
+    the failure to a node and sweep.
     """
 
     def __init__(self, detail, *, node_index=None, sweep_index=None):
         super().__init__(detail)
-        self.detail = detail
         self.node_index = node_index
         self.sweep_index = sweep_index
-        self.step_index = None
-        self.traces = []
 
     def __str__(self):
         where = []
@@ -35,24 +47,10 @@ class NonRealizableStateError(RuntimeError):
         return f"{self.detail}{suffix}"
 
 
-class UnrecoverableStepError(RuntimeError):
-    """A timestep could not be completed within the restart budget.
-
-    ``restarts`` counts the restarts of the failing step.  ``sdc.march``
-    sets ``step_index`` (None until then) and the completed steps'
-    ``SweepTrace`` list (``traces``) as the error propagates; the message is
-    built from the fields when it is read, so it names the step index.
-    """
-
-    def __init__(self, detail, *, restarts=None):
-        super().__init__(detail)
-        self.detail = detail
-        self.step_index = None
-        self.restarts = restarts
-        self.traces = []
+class UnrecoverableStepError(IntegrationError):
+    """A timestep could not be completed within the restart budget;
+    ``restarts`` is that budget."""
 
     def __str__(self):
         where = f" at step {self.step_index}" if self.step_index is not None else ""
-        tries = f" after {self.restarts} restarts" if self.restarts is not None else ""
-        return f"{self.detail}{where}{tries}"
-
+        return f"{self.detail}{where} after {self.restarts} restarts"

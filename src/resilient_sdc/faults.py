@@ -31,7 +31,6 @@ __all__ = [
     "OneShotPerturbation",
     "bit_flip",
     "corrupt",
-    "write_event_log",
 ]
 
 _MODES = ("off", "type_a", "type_b")
@@ -170,14 +169,6 @@ class FaultInjector(KernelHook):
         self.cfg = cfg
         self.due_call = None if cfg.mode == "off" else self._draw(0)
 
-    @property
-    def window_index(self):
-        return self.call_count // self.cfg.window
-
-    @property
-    def counter(self):  # calls made in the current window
-        return self.call_count % self.cfg.window
-
     def _draw(self, window):
         """Key ``window``'s generator; returns its fault call's absolute index."""
         self.rng = np.random.default_rng((self.cfg.seed, self.run_id, 0, window))
@@ -278,21 +269,3 @@ class OneShotPerturbation(KernelHook):
                 self.spec.kernel_id,
             )
         return self.fired
-
-
-def write_event_log(path, events, *, unfired_warning=False):
-    """Write events as line-delimited JSON records.
-
-    Floats are serialized both as decimals and as hexadecimal bit patterns
-    so logs round-trip exactly.
-    """
-    # Imported here: only runs that write artifacts need json.
-    import json
-
-    with open(path, "w") as fh:
-        for event in events:
-            fh.write(json.dumps(event.to_record(), sort_keys=True))
-            fh.write("\n")
-        if unfired_warning:
-            fh.write(json.dumps({"warning": "one-shot schedule never reached"}))
-            fh.write("\n")

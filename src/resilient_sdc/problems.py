@@ -28,7 +28,6 @@ __all__ = [
     "surrogate_rhs",
     "ignition_metrics",
     "linear_exact",
-    "write_snapshot_csv",
 ]
 
 # Eighth-order central first-derivative coefficients for offsets 1..4;
@@ -301,18 +300,3 @@ def ignition_metrics(trajectory):
             delay = float(times[i] + (threshold - peaks[i]) / slope)
             break
     return {"final_peak_T": final_peak, "ignition_delay": delay}
-
-
-def write_snapshot_csv(path, cfg, state):
-    """Write one surrogate state as CSV with columns x, T, Y.
-
-    The bytes are those of a ``csv.writer`` in the excel dialect: the header
-    ``x,T,Y``, then one row per grid point holding the ``repr`` of each
-    value, separated by commas, every line ending in CRLF.  No field needs
-    quoting, as a float's ``repr`` holds no comma, quote or line break.
-    """
-    n = cfg.n_grid
-    values = np.asarray(state, dtype=float)
-    rows = zip(cfg.grid().tolist(), values[:n].tolist(), values[n:].tolist())
-    with open(path, "w", newline="") as fh:
-        fh.write("x,T,Y\r\n" + "".join(f"{x!r},{t!r},{y!r}\r\n" for x, t, y in rows))

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NonRealizableStateError, UnrecoverableStepError
+from .errors import IntegrationError, NonRealizableStateError
 from .faults import KernelHook
 
 __all__ = [
@@ -295,8 +295,8 @@ def march(phi_0, t0, t_end, dt, sys, step):
     fresh array and leave its input alone: the trajectory keeps each state
     as returned, with a copy of ``phi_0`` first.  Returns (trajectory,
     traces): (time, state) pairs from the initial condition on, and the
-    recorded traces.  A NonRealizableStateError or UnrecoverableStepError
-    leaves with the step index and the completed steps' traces attached.
+    recorded traces.  An IntegrationError leaves with the step index and
+    the completed steps' traces attached.
     """
     phi = np.array(phi_0, dtype=float)
     boundaries = step_times(t0, t_end, dt).tolist()
@@ -309,7 +309,7 @@ def march(phi_0, t0, t_end, dt, sys, step):
         hook.begin_step(k, t_k)
         try:
             phi, trace = step(k, phi, t_k, t_next - t_k)
-        except (NonRealizableStateError, UnrecoverableStepError) as exc:
+        except IntegrationError as exc:
             exc.step_index, exc.traces = k, traces
             raise
         if trace is not None:

@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from resilient_sdc import campaign, cli
-from resilient_sdc.campaign import RunConfig, run_campaign, run_single
+from resilient_sdc.campaign import RunConfig, RunReport, run_campaign, run_single
 from resilient_sdc.faults import FaultConfig, OneShotSpec
-from resilient_sdc.problems import IgnitionSurrogate, write_snapshot_csv
+from resilient_sdc.problems import IgnitionSurrogate
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -132,14 +132,20 @@ def test_aborted_rk_run_artifacts_match_the_reference(tmp_path):
 
 
 def test_snapshot_of_special_values_matches_the_reference(tmp_path):
+    """Both snapshots of a run, which share one formatted ``x`` column."""
     cfg = IgnitionSurrogate(n_grid=9)
     specials = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, 1e-300, -1e300, 0.1]
     state = np.array(specials + specials[::-1])
-    path, ref = tmp_path / "state.csv", tmp_path / "reference.csv"
-    write_snapshot_csv(path, cfg, state)
-    reference_snapshot_csv(ref, cfg, state)
-    assert path.read_bytes() == ref.read_bytes()
-    written = path.read_bytes()
+    final = state[::-1].copy()
+    out = tmp_path / "run"
+    campaign._write_run_artifacts(RunReport(
+        config=RunConfig(surrogate=cfg, output_dir=str(out)), status="clean",
+        trajectory=[(0.0, state), (1.0, final)], traces=[], events=[], metrics={},
+    ))
+    for name, snapshot in (("state_initial.csv", state), ("state_final.csv", final)):
+        reference_snapshot_csv(tmp_path / name, cfg, snapshot)
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+    written = (out / "state_initial.csv").read_bytes()
     assert b",-0.0,0.1\r\n" in written and b",nan,-1e+300\r\n" in written
     assert b",inf,1e-300\r\n" in written and b",5e-324,5e-324\r\n" in written
 

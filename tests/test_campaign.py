@@ -407,12 +407,14 @@ def test_convergence_study_input_validation(monkeypatch):
         convergence_study("linear", [0.2, 0.1, 0.07], [3], [4])
     with pytest.raises(ValueError):
         convergence_study("linear", [0.2, -0.1, 0.05], [3], [4])
-    # every node count is checked before the first integration
+    # every node and sweep count is checked before the first integration
     calls = []
     monkeypatch.setattr(campaign_module, "integrate", lambda *args: calls.append(args))
     for node_counts in ([3, 9], [3, 1]):
         with pytest.raises(ValueError):
             convergence_study("linear", [0.2, 0.1, 0.05], node_counts, [4])
+    with pytest.raises(ValueError, match="sweep count must be >= 1, got 0"):
+        convergence_study("linear", [0.02, 0.01, 0.005], [3, 4], [30, 0])
     assert calls == []
 
 

@@ -209,6 +209,11 @@ def test_config_values_are_read_as_their_flags_read_them(tmp_path, capsys, comma
         ("converge", {"window": 96},
          "window: not a flag of converge (a flag of ignite, campaign)\n"),
         ("inject", {"output_dir": 3, "command": "ignite"}, "command: not a flag of inject\n"),
+        # program-level flags other than output_dir
+        ("ignite", {"config": "other.json", "output_dir": "x", "problem": "linear"},
+         "config: not a flag of ignite\n"),
+        ("ignite", {"help": "yes", "output_dir": "x", "problem": "linear"},
+         "help: not a flag of ignite\n"),
     ],
 )
 def test_config_keys_that_name_no_flag_of_the_command_are_config_errors(
@@ -263,7 +268,7 @@ def test_cli_hands_the_library_its_own_defaults(tmp_path, monkeypatch):
         ((RunConfig(output_dir=out),), {}),
         ((RunConfig(output_dir=out, one_shot=OneShotSpec()),), {}),
         ((RunConfig(output_dir=out, fault=FaultConfig(mode="type_b")), 50, 0), {}),
-        ((RunConfig(), None), {"step_index": None}),
+        ((RunConfig(output_dir=out), None), {"step_index": None}),
     ]
 
 

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from resilient_sdc.campaign import RunConfig, RunReport, _write_run_artifacts
 from resilient_sdc.faults import (
     FaultConfig,
     FaultInjector,
@@ -15,7 +16,6 @@ from resilient_sdc.faults import (
     OneShotSpec,
     bit_flip,
     corrupt,
-    write_event_log,
 )
 from resilient_sdc.problems import KERNEL_IDS
 
@@ -124,7 +124,7 @@ def test_off_mode_advances_the_window_counter_without_events():
     _drive(hook, 50 * 4)
     assert hook.events == []
     assert hook.call_count == 200
-    assert hook.window_index == 4
+    assert divmod(hook.call_count, 50) == (4, 0)
 
 
 def test_off_and_armed_modes_share_call_accounting():
@@ -133,8 +133,7 @@ def test_off_and_armed_modes_share_call_accounting():
     off = FaultInjector(FaultConfig(mode="off", window=50, seed=7))
     _drive(armed, 50 * 6)
     _drive(off, 50 * 6)
-    assert armed.window_index == off.window_index
-    assert armed.counter == off.counter
+    assert divmod(armed.call_count, 50) == divmod(off.call_count, 50) == (6, 0)
 
 
 def test_same_seed_reproduces_events_bit_for_bit():
@@ -232,11 +231,7 @@ def test_maybe_inject_counter_walks_windows():
         maybe_inject(np.ones(3), "assembly", state, cfg, call_index=call)
         hook.filter("assembly", np.ones(3))
     assert (state.window_index, state.counter) == (2, 1)
-    assert (hook.window_index, hook.counter) == (2, 1)
-
-
-def _window_state(hook):
-    return (hook.counter, hook.window_index)
+    assert divmod(hook.call_count, cfg.window) == (2, 1)
 
 
 def _event_records(events):
@@ -281,17 +276,18 @@ def test_filter_matches_a_maybe_inject_loop_call_by_call(window, members, mode, 
             if event is not None:
                 events.append(event)
             assert array.tobytes() == reference_array.tobytes()
-            assert _window_state(hook) == _window_state(state)
+            assert divmod(hook.call_count, window) == (state.window_index, state.counter)
             assert _event_records(hook.events) == _event_records(events)
             if mode != "off" and state.counter <= state.fault_call:
                 assert hook.due_call == state.window_index * window + state.fault_call
     for hook in hooks:
-        assert hook.window_index >= 5
+        windows = hook.call_count // window
+        assert windows >= 5
         if mode == "off":
             assert not hook.events
         else:
             # one event per window, the current window's if it fired
-            assert hook.window_index <= len(hook.events) <= hook.window_index + 1
+            assert windows <= len(hook.events) <= windows + 1
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +368,17 @@ def test_unfired_one_shot_logs_a_warning(caplog):
 
 
 def test_event_log_round_trips_as_jsonl(tmp_path):
+    """The run artifact writer logs each event's record as one JSON line."""
     cfg = FaultConfig(mode="type_b", window=20, seed=13)
     hook = FaultInjector(cfg)
     _drive(hook, 60)
+    _write_run_artifacts(RunReport(config=RunConfig(output_dir=str(tmp_path)), status="clean",
+                                   trajectory=[], traces=[], events=hook.events, metrics={}))
     path = tmp_path / "events.jsonl"
-    write_event_log(path, hook.events)
     records = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(records) == len(hook.events)
     for record, event in zip(records, hook.events):
+        assert json.dumps(record, sort_keys=True) == json.dumps(event.to_record(), sort_keys=True)
         assert record["call_index"] == event.call_index
         assert record["old_bits"] == f"{np.float64(event.old_value).view(np.uint64):016x}"
         assert record["new_bits"] == f"{np.float64(event.new_value).view(np.uint64):016x}"

@@ -5,8 +5,9 @@ writers and the campaign tooling use, nor ``numpy.random``, which only an
 armed injector draws from.
 
 Each of those checks runs in a new interpreter, so ``sys.modules`` starts
-clean.  A last check reads the source: no module imports a name it never
-uses.
+clean.  The last checks read the source: no module imports a name it never
+uses, only ``campaign`` opens a file for writing, and no package module
+imports another's underscore name.
 """
 
 import ast
@@ -128,3 +129,73 @@ def test_no_module_imports_a_name_it_never_uses():
     assert len(paths) > 20
     found = [entry for path in paths for entry in unused_imports(path)]
     assert found == [], "unused imports:\n" + "\n".join(found)
+
+
+# The one package module that writes files: every run, campaign and
+# sensitivity artifact goes through its writers.
+WRITER_MODULE = "campaign.py"
+
+
+def _opens_for_writing(call):
+    """Whether ``call`` is ``open(...)`` with a mode that writes, appends or
+    creates; a mode that is not a literal counts as writing."""
+    if not (isinstance(call.func, ast.Name) and call.func.id == "open"):
+        return False
+    modes = call.args[1:2] + [kw.value for kw in call.keywords if kw.arg == "mode"]
+    if not modes:
+        return False
+    (mode,) = modes
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
+def structure_faults(path):
+    """``file:line: fault`` for each write-mode ``open`` outside the writer
+    module and each underscore name imported from another package module."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    where = os.path.relpath(path, ROOT)
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and _opens_for_writing(node)
+                and os.path.basename(path) != WRITER_MODULE):
+            found.append(f"{where}:{node.lineno}: opens a file for writing")
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "resilient_sdc"):
+            found += [f"{where}:{node.lineno}: imports {alias.name}" for alias in node.names
+                      if alias.name.startswith("_") and not alias.name.endswith("__")]
+    return found
+
+
+def test_structure_faults_helper_names_each_fault(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from .campaign import _write_csv, run_single\n"
+        "from resilient_sdc.faults import _MODES\n"
+        "from numpy import _private\n"
+        "from . import __version__\n"
+        "open('a.csv', 'w', newline='')\n"
+        "open('b.log', mode='a')\n"
+        "open('c.json')\n"
+        "open('d.json', 'rb')\n"
+        "open('e.bin', 'r+b')\n"
+        "open('f.txt', chosen)\n"
+    )
+    where = os.path.relpath(str(module), ROOT)
+    assert structure_faults(str(module)) == [
+        f"{where}:1: imports _write_csv",
+        f"{where}:2: imports _MODES",
+        f"{where}:5: opens a file for writing",
+        f"{where}:6: opens a file for writing",
+        f"{where}:9: opens a file for writing",
+        f"{where}:10: opens a file for writing",
+    ]
+
+
+def test_only_campaign_writes_files_and_no_module_imports_a_private_name():
+    folder = os.path.join(SRC, "resilient_sdc")
+    paths = [os.path.join(folder, name) for name in sorted(os.listdir(folder))
+             if name.endswith(".py")]
+    assert len(paths) > 8
+    found = [entry for path in paths for entry in structure_faults(path)]
+    assert found == [], "structure faults:\n" + "\n".join(found)

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from resilient_sdc.campaign import RunConfig, run_single
 from resilient_sdc.faults import KernelHook, OneShotPerturbation, OneShotSpec
 from resilient_sdc.problems import (
     KERNEL_IDS,
@@ -19,7 +20,6 @@ from resilient_sdc.problems import (
     ignition_metrics,
     linear_exact,
     surrogate_rhs,
-    write_snapshot_csv,
 )
 from resilient_sdc.quadrature import lobatto_rule
 from resilient_sdc.sdc import ODESystem, integrate, predictor, sdc_sweep
@@ -434,10 +434,13 @@ def test_metrics_single_snapshot_and_empty():
 
 
 def test_snapshot_csv_round_trip(tmp_path):
+    """A run's initial-state snapshot reads back as the surrogate's grid and
+    initial state."""
     cfg = IgnitionSurrogate(n_grid=16)
     state = cfg.initial_state()
-    path = tmp_path / "state.csv"
-    write_snapshot_csv(path, cfg, state)
+    run_single(RunConfig(integrator="rk", surrogate=cfg, t_end=cfg.default_dt(),
+                         output_dir=str(tmp_path)))
+    path = tmp_path / "state_initial.csv"
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["x", "T", "Y"]

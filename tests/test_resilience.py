@@ -8,7 +8,11 @@ import pytest
 import resilient_sdc.resilience as resilience_module
 import resilient_sdc.sdc as sdc_module
 from resilient_sdc.campaign import RunConfig, run_single
-from resilient_sdc.errors import NonRealizableStateError, UnrecoverableStepError
+from resilient_sdc.errors import (
+    IntegrationError,
+    NonRealizableStateError,
+    UnrecoverableStepError,
+)
 from resilient_sdc.faults import FaultConfig, KernelHook
 from resilient_sdc.problems import IgnitionSurrogate, LinearProblem
 from resilient_sdc.quadrature import lobatto_rule
@@ -172,6 +176,16 @@ def test_every_integrator_applies_the_system_realizability():
     assert resilient.value.detail == "step failed realizability after retries: y above 1.5"
     assert (plain.value.sweep_index, plain.value.node_index) == (1, 1)
     assert (rk.value.sweep_index, rk.value.node_index) == (1, None)
+    # one base class; only a spent restart budget counts restarts
+    errors = (plain.value, rk.value, resilient.value)
+    assert all(isinstance(error, IntegrationError) for error in errors)
+    assert [error.restarts for error in errors] == [0, 0, CFG.max_restarts]
+    assert [str(error) for error in errors] == [
+        "y above 1.5 (step 4, sweep 1, node 1)",
+        "y above 1.5 (step 4, sweep 1)",
+        "step failed realizability after retries: y above 1.5 at step 4 after "
+        f"{CFG.max_restarts} restarts",
+    ]
 
 
 @pytest.mark.parametrize("integrator", ["sdc", "rk", "sdc_resilient"])
