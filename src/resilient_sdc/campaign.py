@@ -74,8 +74,7 @@ class RunConfig:
                 f"integrator must be one of {_INTEGRATORS}, got {self.integrator!r}"
             )
         lobatto_rule(self.num_nodes)  # raises for a node count without an exact rule
-        if self.sweeps < 1:
-            raise ValueError(f"sweeps must be >= 1, got {self.sweeps}")
+        fixed_sweeps(self.sweeps)  # raises for a sweep count below 1
         for name in ("dt", "t_end"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -141,7 +140,6 @@ class RunReport:
     metrics: dict
     error: Optional[str] = None
     one_shot_fired: Optional[bool] = None
-    error_history: list = field(default_factory=list)
 
 
 @dataclass
@@ -211,10 +209,11 @@ def _build_system(cfg, hook):
 def run_single(cfg):
     """Execute one configured run and, when ``cfg.output_dir`` is set, write
     its artifacts there: ``events.jsonl``, ``residuals.csv``,
-    ``trajectory.csv``, ``metrics.json``, the ignition problem's
-    ``state_initial.csv`` and ``state_final.csv``, and the linear
-    fixed-sweep run's ``error_history.csv``.
+    ``trajectory.csv``, ``metrics.json``, and the ignition problem's
+    ``state_initial.csv`` and ``state_final.csv``.
 
+    The one run driver: no other code in the package calls an integrator,
+    so campaigns, sensitivity sweeps and convergence studies all run here.
     Returns a RunReport; integration failures are reported with status
     ``aborted`` rather than raised, so campaign accounting stays simple.
     """
@@ -225,24 +224,13 @@ def run_single(cfg):
     t_end = cfg.resolved_t_end()
     rule = lobatto_rule(cfg.num_nodes)
 
-    error_history = []
-    sweep_observer = None
-    if cfg.problem == "linear" and cfg.integrator == "sdc_fixed":
-
-        def sweep_observer(step, sweep, sol):
-            t_node = float(sol.times[-1])
-            err = abs(float(sol.node_states[-1][0]) - problem.exact(t_node))
-            error_history.append((step, sweep, err))
-
     trajectory, traces = [], []
     status, error, aborted = "clean", None, None
     try:
         if cfg.integrator == "rk":
             trajectory = rk_integrate(phi0, 0.0, t_end, dt, sys)
         elif cfg.integrator == "sdc_fixed":
-            trajectory, traces = integrate(
-                phi0, 0.0, t_end, dt, rule, sys, cfg.sweeps, sweep_observer=sweep_observer
-            )
+            trajectory, traces = integrate(phi0, 0.0, t_end, dt, rule, sys, cfg.sweeps)
         else:
             trajectory, traces = integrate_resilient(
                 phi0, 0.0, t_end, dt, rule, sys, cfg.controller
@@ -272,7 +260,6 @@ def run_single(cfg):
         metrics=metrics,
         error=error,
         one_shot_fired=one_shot_fired,
-        error_history=error_history,
     )
     if cfg.output_dir is not None:
         _write_run_artifacts(report)
@@ -348,10 +335,6 @@ def _write_run_artifacts(report):
             ]
             _write_csv(os.path.join(out, name), "x,T,Y", snapshot_rows)
 
-    if report.error_history:
-        error_rows = [f"{step},{sweep},{err!r}\r\n" for step, sweep, err in report.error_history]
-        _write_csv(os.path.join(out, "error_history.csv"), "step,sweep,abs_error", error_rows)
-
     _write_json(os.path.join(out, "metrics.json"), report.metrics)
 
 
@@ -407,11 +390,14 @@ def run_campaign(cfg, n_runs, base_seed, *, workers=1):
     Run ``i`` uses the injection stream keyed by (base_seed, i), so the
     campaign is reproducible bit for bit regardless of worker count.
     Statistics cover completed (non-aborted) runs; aborts are tallied in
-    ``crash_count``.
+    ``crash_count``.  ``workers`` processes run the members; 1 runs them in
+    this process.
     """
     cfg.validate()
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     jobs = [(cfg, i, base_seed) for i in range(n_runs)]
     if workers > 1:
         # Imported here: concurrent.futures pulls in multiprocessing, which a
@@ -532,10 +518,13 @@ def sensitivity_sweep(cfg, kernels=None, *, step_index=None):
 def convergence_study(problem, dt_list, node_counts, sweep_counts, *, t_end=1.0):
     """Observed-order table over a geometric ladder of timesteps.
 
-    ``problem`` must be ``"linear"``: errors are taken against the exact
-    solution of y' = lambda y.  Each (node count, sweep count) pair
-    contributes one row with the least-squares slope of log error versus
-    log dt.
+    ``problem`` must be ``"linear"``.  Each (node count, sweep count) pair
+    contributes one row: per timestep, the ``abs_error`` of one fixed-sweep
+    ``run_single`` run against the exact solution of y' = lambda y, and the
+    least-squares slope of log error versus log dt.  Every run is configured
+    and validated before the first one, so a bad node count, sweep count,
+    timestep or ``t_end`` (not finite, or shorter than the largest timestep)
+    runs nothing.  A run that aborts raises ValueError with its error.
     """
     if problem != "linear":
         raise ValueError(f"convergence_study supports only the linear problem, got {problem!r}")
@@ -547,31 +536,35 @@ def convergence_study(problem, dt_list, node_counts, sweep_counts, *, t_end=1.0)
     ratios = [dts[i] / dts[i + 1] for i in range(len(dts) - 1)]
     if any(abs(r - ratios[0]) > 1e-6 * ratios[0] for r in ratios):
         raise ValueError("timesteps must form a geometric ladder")
+    if t_end < max(dts):
+        raise ValueError(f"t_end must be at least the largest timestep {max(dts)!r}, got {t_end!r}")
 
-    # every rule and sweep policy is built, and so every node and sweep
-    # count checked, before any run
-    rules = [lobatto_rule(num_nodes) for num_nodes in node_counts]
-    for sweeps in sweep_counts:
-        fixed_sweeps(sweeps)
-    linear = LinearProblem()
-    exact = linear.exact(t_end)
+    ladders = [
+        [
+            RunConfig(problem="linear", integrator="sdc_fixed", num_nodes=num_nodes,
+                      sweeps=sweeps, dt=dt, t_end=t_end).validate()
+            for dt in dts
+        ]
+        for num_nodes in node_counts
+        for sweeps in sweep_counts
+    ]
     rows = []
-    for num_nodes, rule in zip(node_counts, rules):
-        for sweeps in sweep_counts:
-            errors = []
-            for dt in dts:
-                trajectory, _ = integrate(
-                    linear.initial_state(), 0.0, t_end, dt, rule, linear.system(), sweeps
-                )
-                errors.append(abs(float(trajectory[-1][1][0]) - exact))
-            slope = np.polyfit(np.log(dts), np.log(errors), 1)[0]
-            rows.append(
-                {
-                    "num_nodes": num_nodes,
-                    "sweeps": sweeps,
-                    "dts": dts,
-                    "errors": errors,
-                    "observed_order": float(slope),
-                }
-            )
+    for ladder in ladders:
+        errors = []
+        for cfg in ladder:
+            report = run_single(cfg)
+            if report.status == "aborted":
+                raise ValueError(f"{cfg.num_nodes} nodes, {cfg.sweeps} sweeps, dt {cfg.dt!r}: "
+                                 f"{report.error}")
+            errors.append(report.metrics["abs_error"])
+        slope = np.polyfit(np.log(dts), np.log(errors), 1)[0]
+        rows.append(
+            {
+                "num_nodes": ladder[0].num_nodes,
+                "sweeps": ladder[0].sweeps,
+                "dts": dts,
+                "errors": errors,
+                "observed_order": float(slope),
+            }
+        )
     return rows

@@ -10,10 +10,10 @@ Settings that neither gives take the library's defaults (``RunConfig``,
 ``FaultConfig``, ``OneShotSpec``).  The output directory falls back to the
 RESILIENT_SDC_OUTPUT_DIR environment variable, then ./runs.
 
-Exit codes: 0 clean completion, 2 configuration error, 3 unrecoverable
-integration failure, 4 completed with some steps capped (status
-``capped``): a capped step reached ``max_sweeps`` without meeting the
-residual test.
+Exit codes: 0 clean completion, 2 configuration error (for ``converge``,
+also a ladder run that aborts), 3 unrecoverable integration failure, 4
+completed with some steps capped (status ``capped``): a capped step
+reached ``max_sweeps`` without meeting the residual test.
 """
 
 from __future__ import annotations

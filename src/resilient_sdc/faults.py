@@ -220,6 +220,8 @@ class OneShotSpec:
             raise ValueError(f"one-shot mode must be type_a or type_b, got {self.mode!r}")
         if self.mode == "type_b" and self.bit is None:
             raise ValueError("type_b one-shot faults need a bit index")
+        if self.bit is not None and not 0 <= self.bit <= 63:
+            raise ValueError(f"one-shot bit must be in [0, 63], got {self.bit}")
 
 
 class OneShotPerturbation(KernelHook):

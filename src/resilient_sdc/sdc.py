@@ -77,14 +77,19 @@ class NodeSolution:
 class SweepTrace:
     """Per-step diagnostics: residual history and controller bookkeeping.
 
-    ``capped`` marks a step that reached ``max_sweeps`` without meeting the
-    residual test; only the resilient controller sets it.
+    ``residual_maxnorms`` holds one norm per sweep, predictor included, so
+    its length is the step's sweep count (``sweeps_taken``).  ``capped``
+    marks a step that reached ``max_sweeps`` without meeting the residual
+    test; only the resilient controller sets it.
     """
 
     residual_maxnorms: list = field(default_factory=list)
-    sweeps_taken: int = 0
     restarts: int = 0
     capped: bool = False
+
+    @property
+    def sweeps_taken(self):
+        return len(self.residual_maxnorms)
 
 
 def all_finite(a):
@@ -230,35 +235,30 @@ def fixed_sweeps(count):
     return lambda norms: len(norms) < count
 
 
-def integrate_step(phi_n, t_start, dt, rule, sys, keep_sweeping, *, sweep_observer=None):
+def integrate_step(phi_n, t_start, dt, rule, sys, keep_sweeping):
     """Advance one step: predictor plus sweeps while the policy asks for more.
 
     ``keep_sweeping`` maps the list of recorded residual max-norms to True
     (sweep again) or False (accept); ``fixed_sweeps(n)`` makes one for a
     fixed count.  The system's ``realizability``, when set, is applied to
     the node states after every sweep; a violation raises
-    NonRealizableStateError.  ``sweep_observer`` is called with
-    (sweep_index, NodeSolution) after every sweep, for diagnostics.
+    NonRealizableStateError.
 
     Returns (end state, SweepTrace).  The trace records the residual
-    max-norm after the predictor and after every correction sweep.
+    max-norm after the predictor and after every correction sweep, the one
+    record of the step's sweep count.
     """
     sol = predictor(phi_n, rule, sys, t_start, dt)
     _check_states(sol, sys, 1)
-    trace = SweepTrace(residual_maxnorms=[residual_max_norm(sol, rule)], sweeps_taken=1)
-    if sweep_observer is not None:
-        sweep_observer(1, sol)
+    norms = [residual_max_norm(sol, rule)]
 
-    while keep_sweeping(trace.residual_maxnorms):
-        sweep_index = trace.sweeps_taken + 1
+    while keep_sweeping(norms):
+        sweep_index = len(norms) + 1
         sol = sdc_sweep(sol, rule, sys, sweep_index=sweep_index)
         _check_states(sol, sys, sweep_index, first_node=1)
-        trace.residual_maxnorms.append(residual_max_norm(sol, rule))
-        trace.sweeps_taken = sweep_index
-        if sweep_observer is not None:
-            sweep_observer(sweep_index, sol)
+        norms.append(residual_max_norm(sol, rule))
 
-    return sol.node_states[-1].copy(), trace
+    return sol.node_states[-1].copy(), SweepTrace(residual_maxnorms=norms)
 
 
 def step_times(t0, t_end, dt):
@@ -318,22 +318,18 @@ def march(phi_0, t0, t_end, dt, sys, step):
     return trajectory, traces
 
 
-def integrate(phi_0, t0, t_end, dt, rule, sys, sweeps, *, sweep_observer=None):
+def integrate(phi_0, t0, t_end, dt, rule, sys, sweeps):
     """Fixed-step integration over [t0, t_end] without checkpoint recovery.
 
     Every step takes ``sweeps`` sweeps, predictor included, and the
     system's ``realizability``, when set, is applied to every node state.
     Returns (trajectory, traces) as ``march`` does; realizability failures
     propagate with the step index and the completed steps' traces attached.
-    ``sweep_observer``, when given, is called as (step_index, sweep_index,
-    NodeSolution) after every sweep.
+    Within the package only ``campaign.run_single`` calls it.
     """
     keep_sweeping = fixed_sweeps(sweeps)
 
     def step(k, phi, t_k, h):
-        observer = None
-        if sweep_observer is not None:
-            observer = lambda sweep, sol: sweep_observer(k, sweep, sol)  # noqa: E731
-        return integrate_step(phi, t_k, h, rule, sys, keep_sweeping, sweep_observer=observer)
+        return integrate_step(phi, t_k, h, rule, sys, keep_sweeping)
 
     return march(phi_0, t0, t_end, dt, sys, step)

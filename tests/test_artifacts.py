@@ -68,13 +68,6 @@ def reference_run_csvs(report, out):
             os.path.join(out, "state_final.csv"), cfg.surrogate, report.trajectory[-1][1]
         )
 
-    if report.error_history:
-        with open(os.path.join(out, "error_history.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "sweep", "abs_error"])
-            for step, sweep, err in report.error_history:
-                writer.writerow([step, sweep, repr(err)])
-
 
 def _run_and_compare(tmp_path, cfg):
     """Run ``cfg`` with artifacts and compare its CSV files with the
@@ -113,8 +106,9 @@ def test_trajectory_keeps_every_step_and_matches_the_reference(tmp_path):
 def test_linear_fixed_run_artifacts_match_the_reference(tmp_path):
     cfg = RunConfig(problem="linear", integrator="sdc_fixed", sweeps=4, t_end=1.0)
     report, written = _run_and_compare(tmp_path, cfg)
-    assert report.error_history
-    assert "error_history.csv" in written
+    assert report.status == "clean"
+    # the four files every run writes, and no per-sweep error file
+    assert written == ["events.jsonl", "metrics.json", "residuals.csv", "trajectory.csv"]
     assert (tmp_path / "run" / "trajectory.csv").read_bytes().startswith(b"time,y\r\n")
 
 

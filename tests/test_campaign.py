@@ -18,7 +18,9 @@ from resilient_sdc.campaign import (
     summarize,
 )
 from resilient_sdc.faults import FaultConfig, OneShotSpec
-from resilient_sdc.problems import KERNEL_IDS, LINEAR_KERNEL_ID, IgnitionSurrogate
+from resilient_sdc.problems import KERNEL_IDS, LINEAR_KERNEL_ID, IgnitionSurrogate, LinearProblem
+from resilient_sdc.quadrature import lobatto_rule
+from resilient_sdc.sdc import integrate as sdc_integrate
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -171,6 +173,15 @@ def test_campaign_rejects_empty_run_count():
         run_campaign(_ignition_cfg(), 0, base_seed=1)
 
 
+def test_campaign_rejects_fewer_than_one_worker(monkeypatch):
+    runs = []
+    monkeypatch.setattr(campaign_module, "run_single", lambda cfg: runs.append(cfg))
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match=f"^workers must be >= 1, got {workers}$"):
+            run_campaign(_ignition_cfg(), 2, base_seed=1, workers=workers)
+    assert runs == []
+
+
 # ---------------------------------------------------------------------------
 # single runs
 
@@ -180,9 +191,6 @@ def test_linear_fixed_run_reports_error_metrics():
     report = run_single(cfg)
     assert report.status == "clean"
     assert report.metrics["abs_error"] < 2e-6
-    assert report.error_history  # per-sweep error trail for the decay figure
-    errors_last_step = [e for step, _, e in report.error_history if step == 9]
-    assert errors_last_step == sorted(errors_last_step, reverse=True)
 
 
 def test_same_config_reruns_bitwise_identically():
@@ -415,7 +423,48 @@ def test_convergence_study_input_validation(monkeypatch):
             convergence_study("linear", [0.2, 0.1, 0.05], node_counts, [4])
     with pytest.raises(ValueError, match="sweep count must be >= 1, got 0"):
         convergence_study("linear", [0.02, 0.01, 0.005], [3, 4], [30, 0])
+    # so are t_end (finite, and at least the largest timestep) and every timestep
+    for t_end in (0.0, 0.01, 0.19, -1.0):
+        with pytest.raises(ValueError, match="t_end must be at least the largest timestep 0.2"):
+            convergence_study("linear", [0.2, 0.1, 0.05], [3], [4], t_end=t_end)
+    for t_end in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="t_end must be finite"):
+            convergence_study("linear", [0.2, 0.1, 0.05], [3], [4], t_end=t_end)
+    with pytest.raises(ValueError, match="dt must be finite"):
+        convergence_study("linear", [math.inf, math.inf, math.inf], [3], [4], t_end=math.inf)
     assert calls == []
+    # a ladder run that aborts raises with its error, here at the first entry
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match=r"^3 nodes, 4 sweeps, dt 1\.0: non-finite "):
+        convergence_study("linear", [1.0, 0.5, 0.25], [3], [4], t_end=800.0)
+
+
+def test_convergence_study_runs_each_ladder_entry_through_run_single(monkeypatch):
+    """Rows equal, bit for bit, a ladder of direct ``integrate`` calls, and
+    the study makes one ``run_single`` call per nodes x sweeps x dts entry."""
+    dts, node_counts, sweep_counts, t_end = [0.4, 0.2, 0.1], [2, 3], [1, 3], 2.0
+    linear = LinearProblem()
+    expected = []
+    for num_nodes in node_counts:
+        for sweeps in sweep_counts:
+            errors = []
+            for dt in dts:
+                trajectory, _ = sdc_integrate(linear.initial_state(), 0.0, t_end, dt,
+                                              lobatto_rule(num_nodes), linear.system(), sweeps)
+                errors.append(abs(float(trajectory[-1][1][0]) - linear.exact(t_end)))
+            expected.append((num_nodes, sweeps, errors))
+
+    runs = []
+
+    def counting_run_single(cfg):
+        runs.append((cfg.num_nodes, cfg.sweeps, cfg.dt))
+        return run_single(cfg)
+
+    monkeypatch.setattr(campaign_module, "run_single", counting_run_single)
+    rows = convergence_study("linear", dts, node_counts, sweep_counts, t_end=t_end)
+    assert [(r["num_nodes"], r["sweeps"], r["errors"]) for r in rows] == expected
+    assert all(r["dts"] == dts for r in rows)
+    assert runs == [(n, s, dt) for n in node_counts for s in sweep_counts for dt in dts]
 
 
 def test_convergence_study_supports_only_the_linear_problem(monkeypatch):

@@ -85,9 +85,8 @@ def test_ignite_linear_clean_run_and_artifacts(tmp_path, capsys):
     assert "status: clean" in out
     final_y = float(re.search(r"final_y: (\S+)", out).group(1))
     assert final_y == pytest.approx(linear_exact(0.5), abs=1e-6)
-    for name in ["metrics.json", "trajectory.csv", "residuals.csv",
-                 "events.jsonl", "error_history.csv"]:
-        assert (out_dir / name).exists()
+    assert sorted(path.name for path in out_dir.iterdir()) == [
+        "events.jsonl", "metrics.json", "residuals.csv", "trajectory.csv"]
     metrics = json.loads((out_dir / "metrics.json").read_text())
     assert metrics["status"] == "clean"
     assert metrics["steps"] == 5
@@ -243,6 +242,31 @@ def test_rules_past_eight_nodes_are_config_errors(tmp_path, capsys, monkeypatch,
     assert rc == EXIT_CONFIG
     assert out == "" and err.startswith("config error: ") and err.count("\n") == 1
     assert "8" in err
+    assert calls == [] and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["converge", "--t-end", "0"], "t_end must be at least the largest timestep 0.2, got 0.0"),
+        (["converge", "--t-end", "0.01"],
+         "t_end must be at least the largest timestep 0.2, got 0.01"),
+        (["converge", "--t-end", "inf"], "t_end must be finite, got inf"),
+        (["campaign", "--workers", "0", "--runs", "2"], "workers must be >= 1, got 0"),
+        (["campaign", "--workers", "-3", "--runs", "2"], "workers must be >= 1, got -3"),
+        (["inject", "--integrator", "rk", "--mode", "type_b", "--bit", "70", "--step", "30",
+          "--kernel", "assembly", "--t-end", "5e-4"], "one-shot bit must be in [0, 63], got 70"),
+    ],
+)
+def test_settings_rejected_before_any_run_are_config_errors(tmp_path, capsys, monkeypatch, argv,
+                                                            message):
+    calls = []
+    for name in ("integrate", "integrate_resilient", "rk_integrate"):
+        monkeypatch.setattr(f"resilient_sdc.campaign.{name}", lambda *args: calls.append(args))
+    rc = main(["--output-dir", str(tmp_path / "out"), *argv])
+    out, err = capsys.readouterr()
+    assert rc == EXIT_CONFIG
+    assert (out, err) == ("", f"config error: {message}\n")
     assert calls == [] and not (tmp_path / "out").exists()
 
 

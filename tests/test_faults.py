@@ -92,7 +92,15 @@ def test_one_shot_spec_validation():
     for field, value in (("step_index", -1), ("sweep_index", 0), ("node_index", -1)):
         with pytest.raises(ValueError, match=f"one-shot {field} must be >= "):
             OneShotSpec(**{field: value})
+    # a bit outside the binary64 word fails when the spec is built, not when it fires
+    for bit in (64, -1):
+        for mode in ("type_a", "type_b"):
+            message = rf"^one-shot bit must be in \[0, 63\], got {bit}$"
+            with pytest.raises(ValueError, match=message):
+                OneShotSpec(mode=mode, bit=bit)
     OneShotSpec(mode="type_b", bit=17)
+    OneShotSpec(mode="type_b", bit=0)
+    OneShotSpec(mode="type_b", bit=63)
     OneShotSpec(offset="max_T")
 
 

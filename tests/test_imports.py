@@ -6,8 +6,9 @@ armed injector draws from.
 
 Each of those checks runs in a new interpreter, so ``sys.modules`` starts
 clean.  The last checks read the source: no module imports a name it never
-uses, only ``campaign`` opens a file for writing, and no package module
-imports another's underscore name.
+uses, only ``campaign`` opens a file for writing, no package module
+imports another's underscore name, and only ``campaign.run_single`` calls
+an integrator.
 """
 
 import ast
@@ -199,3 +200,67 @@ def test_only_campaign_writes_files_and_no_module_imports_a_private_name():
     assert len(paths) > 8
     found = [entry for path in paths for entry in structure_faults(path)]
     assert found == [], "structure faults:\n" + "\n".join(found)
+
+
+# The integrators, and the one run driver allowed to call them: every run
+# the package makes (campaign member, sensitivity kernel, convergence
+# ladder entry) goes through it.
+INTEGRATORS = ("integrate", "integrate_resilient", "rk_integrate")
+RUN_DRIVER = ("campaign.py", "run_single")
+
+
+def integrator_calls(path):
+    """``file:line: calls name in owner`` for each call of an integrator,
+    by bare name or as an attribute, outside the run driver; the owner is
+    the module-level function or class the call sits in."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    where = os.path.relpath(path, ROOT)
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        if (os.path.basename(path), owner) == RUN_DRIVER:
+            continue
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in INTEGRATORS:
+                found.append(f"{where}:{node.lineno}: calls {name} in {owner or 'the module'}")
+    return found
+
+
+def test_integrator_calls_helper_names_each_call_outside_the_run_driver(tmp_path):
+    driver = tmp_path / "campaign.py"
+    driver.write_text(
+        "def run_single(cfg):\n"
+        "    def nested():\n"
+        "        return rk_integrate(1)\n"
+        "    return integrate(1), nested()\n"
+        "def convergence_study():\n"
+        "    return integrate(2)\n"
+        "class Study:\n"
+        "    def run(self):\n"
+        "        return sdc.integrate_resilient(3)\n"
+        "integrate_step(4)\n"
+        "rk_integrate(5)\n"
+    )
+    other = tmp_path / "sdc.py"
+    other.write_text("def run_single(cfg):\n    return integrate(1)\n")
+    where, elsewhere = (os.path.relpath(str(p), ROOT) for p in (driver, other))
+    assert integrator_calls(str(driver)) == [
+        f"{where}:6: calls integrate in convergence_study",
+        f"{where}:9: calls integrate_resilient in Study",
+        f"{where}:11: calls rk_integrate in the module",
+    ]
+    assert integrator_calls(str(other)) == [f"{elsewhere}:2: calls integrate in run_single"]
+
+
+def test_only_run_single_calls_an_integrator():
+    folder = os.path.join(SRC, "resilient_sdc")
+    paths = [os.path.join(folder, name) for name in sorted(os.listdir(folder))
+             if name.endswith(".py")]
+    assert len(paths) > 8
+    found = [entry for path in paths for entry in integrator_calls(path)]
+    assert found == [], "integrator calls outside campaign.run_single:\n" + "\n".join(found)

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import resilient_sdc.sdc as sdc_module
 from resilient_sdc.errors import NonRealizableStateError
 from resilient_sdc.faults import KernelHook
 from resilient_sdc.problems import KERNEL_IDS, LINEAR_KERNEL_ID, IgnitionSurrogate, LinearProblem
@@ -203,6 +204,8 @@ def test_integrate_step_fixed_count_controls_iterations(linear):
     _, trace = integrate_step(phi0, 0.0, 1.0, rule, sys_, fixed_sweeps(5))
     assert trace.sweeps_taken == 5
     assert len(trace.residual_maxnorms) == 5
+    with pytest.raises(AttributeError):  # the norms are the one record of the count
+        trace.sweeps_taken = 4
     with pytest.raises(ValueError):
         integrate_step(phi0, 0.0, 1.0, rule, sys_, fixed_sweeps(0))
 
@@ -272,58 +275,42 @@ def test_state_check_violation_aborts_with_step_index(linear):
     assert all(trace.sweeps_taken == 4 for trace in excinfo.value.traces)
 
 
-def test_sweep_observer_sees_every_iteration(linear):
-    _, sys_, phi0 = linear
-    seen = []
-    integrate(
-        phi0,
-        0.0,
-        0.4,
-        0.2,
-        lobatto_rule(3),
-        sys_,
-        3,
-        sweep_observer=lambda step, sweep, sol: seen.append((step, sweep)),
-    )
-    assert seen == [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3)]
-
-
 # ---------------------------------------------------------------------------
 # realizability checks on the ignition surrogate
 
 
-def test_state_checks_skip_node_zero_after_the_predictor():
+def test_state_checks_skip_node_zero_after_the_predictor(monkeypatch):
     """The predictor's node states are all checked; a correction sweep's
     only from node 1 on, since no sweep writes node 0."""
     prob = IgnitionSurrogate()
     sys_ = prob.system()
     rule = lobatto_rule(3)
-    log = []
+    log = []  # (sweep index, node states, states checked after it), one per sweep
 
     def check(state):
-        log.append(("check", state.copy()))
+        log[-1][2].append(state.copy())
         return prob.realizability(state)
 
-    def observe(sweep, sol):
-        log.append(("sweep", sweep, sol.node_states.copy()))
+    def logged(sweep_fn, sweep_index):
+        def wrapper(*args, **kwargs):
+            sol = sweep_fn(*args, **kwargs)
+            log.append((sweep_index(kwargs), sol.node_states.copy(), []))
+            return sol
 
-    sweeps = 4
+        return wrapper
+
+    monkeypatch.setattr(sdc_module, "predictor", logged(predictor, lambda kwargs: 1))
+    monkeypatch.setattr(sdc_module, "sdc_sweep",
+                        logged(sdc_sweep, lambda kwargs: kwargs["sweep_index"]))
     sys_.realizability = check
-    integrate_step(prob.initial_state(), 0.0, prob.default_dt(), rule, sys_, fixed_sweeps(sweeps),
-                   sweep_observer=observe)
-    checks_per_sweep, checked = [], []
-    for entry in log:
-        if entry[0] == "check":
-            checked.append(entry[1])
-            continue
-        _, sweep, states = entry
+    integrate_step(prob.initial_state(), 0.0, prob.default_dt(), rule, sys_, fixed_sweeps(4))
+    assert [sweep for sweep, _, _ in log] == [1, 2, 3, 4]
+    for sweep, states, checked in log:
         first = 0 if sweep == 1 else 1
         assert len(checked) == rule.num_nodes - first
         for state, node_state in zip(checked, states[first:]):
             assert state.tobytes() == node_state.tobytes()
-        checks_per_sweep.append(len(checked))
-        checked = []
-    assert checks_per_sweep == [3, 2, 2, 2]
+    assert [len(checked) for _, _, checked in log] == [3, 2, 2, 2]
 
 
 def test_unrealizable_start_aborts_at_the_predictor_node_zero():

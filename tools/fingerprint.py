@@ -9,13 +9,15 @@ The run set covers the three integrators fault-free, type-B campaign members
 of two base seeds, type-A resilient members, one scheduled one-shot fault per
 kernel id, a fixed-sweep run of the linear problem, the linear RK4 and
 resilient-SDC timestep ladders of the benchmark's ``converge-linear``
-workload, and the linear convergence study.  The digest covers every
-trajectory (times and state bytes), residual history, sweep and restart
-count, status, error string, fault-event record and metric; floats enter as
-their exact hex form.  The three fault-free runs, one type-B resilient
-member and the fixed-sweep linear run also write their artifacts into a
-temporary directory, and the digest covers each file's name and bytes.  No
-SDC run of the set aborts.  A run takes a few seconds.
+workload, and the rows of the linear convergence study, whose ladder runs
+go through ``run_single`` like every other run.  The digest covers every
+``RunReport``'s trajectory (times and state bytes), residual history, sweep
+count (the residual history's length) and restart count, status, error
+string, fault-event record and metric; floats enter as their exact hex
+form.  The three fault-free runs, one type-B resilient member and the
+fixed-sweep linear run also write their artifacts into a temporary
+directory, and the digest covers each file's name and bytes.  No SDC run of
+the set aborts.  A run takes a few seconds.
 """
 
 import hashlib
@@ -70,7 +72,6 @@ def _report_parts(report):
             [t.residual_maxnorms, t.sweeps_taken, t.restarts] for t in report.traces
         ],
         "events": [event.to_record() for event in report.events],
-        "error_history": report.error_history,
     }
     yield json.dumps(_canonical(record), sort_keys=True).encode()
     for t, state in report.trajectory:
