@@ -7,14 +7,8 @@
 # restarts, and reproduces the fault-free peak temperature to a few mK.
 # Takes about half a minute.
 
-import warnings
-
 from resilient_sdc.campaign import RunConfig, run_campaign, run_single
 from resilient_sdc.faults import FaultConfig
-
-# Corrupted values overflow before the guard catches them; that is the
-# expected crash mechanism, not something worth printing 20 times.
-warnings.filterwarnings("ignore", category=RuntimeWarning)
 
 N_RUNS = 20
 BASE_SEED = 4242

@@ -84,6 +84,8 @@ class RunConfig:
         if self.t_end is not None and self.t_end < 0.0:
             raise ValueError(f"t_end must not be negative, got {self.t_end}")
         if self.one_shot is not None:
+            if self.fault.mode != "off":
+                raise ValueError(f"a one-shot needs fault mode 'off', got {self.fault.mode!r}")
             if self.one_shot.offset == "max_T" and self.problem == "linear":
                 raise ValueError("one-shot offset max_T names the hottest ignition grid point; "
                                  "the linear problem has none")
@@ -486,24 +488,10 @@ def sensitivity_sweep(cfg, kernels=None, *, step_index=None):
     rows = []
     for kernel, kernel_cfg in zip(kernels, kernel_cfgs):
         report = run_single(kernel_cfg)
-        if report.status == "aborted":
-            rows.append(
-                {
-                    "kernel": kernel,
-                    "final_peak_T": math.nan,
-                    "deviation": math.nan,
-                    "status": "crashed",
-                }
-            )
-            continue
-        rows.append(
-            {
-                "kernel": kernel,
-                "final_peak_T": report.metrics["final_peak_T"],
-                "deviation": report.metrics["final_peak_T"] - base_peak,
-                "status": "completed",
-            }
-        )
+        crashed = report.status == "aborted"
+        peak = math.nan if crashed else report.metrics["final_peak_T"]
+        rows.append({"kernel": kernel, "final_peak_T": peak, "deviation": peak - base_peak,
+                     "status": "crashed" if crashed else "completed"})
     if cfg.output_dir is not None:
         os.makedirs(cfg.output_dir, exist_ok=True)
         lines = [
@@ -521,10 +509,11 @@ def convergence_study(problem, dt_list, node_counts, sweep_counts, *, t_end=1.0)
     ``problem`` must be ``"linear"``.  Each (node count, sweep count) pair
     contributes one row: per timestep, the ``abs_error`` of one fixed-sweep
     ``run_single`` run against the exact solution of y' = lambda y, and the
-    least-squares slope of log error versus log dt.  Every run is configured
-    and validated before the first one, so a bad node count, sweep count,
-    timestep or ``t_end`` (not finite, or shorter than the largest timestep)
-    runs nothing.  A run that aborts raises ValueError with its error.
+    least-squares slope of log error versus log dt.  Each count iterable is
+    read once.  Every run is configured and validated before the first one,
+    so a bad node count, sweep count, timestep or ``t_end`` (not finite, or
+    shorter than the largest timestep) runs nothing.  A run that aborts
+    raises ValueError with its error.
     """
     if problem != "linear":
         raise ValueError(f"convergence_study supports only the linear problem, got {problem!r}")
@@ -539,6 +528,7 @@ def convergence_study(problem, dt_list, node_counts, sweep_counts, *, t_end=1.0)
     if t_end < max(dts):
         raise ValueError(f"t_end must be at least the largest timestep {max(dts)!r}, got {t_end!r}")
 
+    node_counts, sweep_counts = list(node_counts), list(sweep_counts)
     ladders = [
         [
             RunConfig(problem="linear", integrator="sdc_fixed", num_nodes=num_nodes,

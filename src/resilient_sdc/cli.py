@@ -78,8 +78,6 @@ def build_parser():
         p.add_argument("--sweeps", type=int, help="fixed sweep count (predictor included)")
         p.add_argument("--dt", type=float)
         p.add_argument("--t-end", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--run-id", type=int)
 
     p_converge = sub.add_parser(
         "converge", help="observed-order study of the linear problem over a dt ladder"
@@ -102,6 +100,7 @@ def build_parser():
 
     p_inject = sub.add_parser("inject", help="single run with one scheduled fault")
     add_run_options(p_inject)
+    p_inject.add_argument("--run-id", type=int)
     p_inject.add_argument("--mode", choices=["type_a", "type_b"])
     p_inject.add_argument("--scale", type=float)
     p_inject.add_argument("--bit", type=int)
@@ -114,6 +113,8 @@ def build_parser():
 
     p_ignite = sub.add_parser("ignite", help="single ignition (or linear) run")
     add_run_options(p_ignite)
+    p_ignite.add_argument("--seed", type=int)
+    p_ignite.add_argument("--run-id", type=int)
     p_ignite.add_argument("--fault-mode", choices=["off", "type_a", "type_b"])
     p_ignite.add_argument("--window", type=int)
     p_ignite.add_argument("--scale", type=float)

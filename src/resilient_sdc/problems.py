@@ -240,7 +240,6 @@ def gaussian_hotspot(cfg):
     return np.concatenate((temperature, fuel))
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def surrogate_rhs(state, t, cfg, hook):
     """Kernelized right-hand side of the ignition surrogate.
 
@@ -249,10 +248,7 @@ def surrogate_rhs(state, t, cfg, hook):
     a deterministic call stream.  Second derivatives come from repeated
     application of the first-derivative operator, each application taking
     both fields at once; the hook edits the rows of the gradient pair in
-    place, so the fluxes see any corrupted gradient.  Floating-point
-    overflow and invalid-operation warnings are off for the whole
-    evaluation: a corrupted state may overflow in any stage, and the
-    integrators' finite checks report it.
+    place, so the fluxes see any corrupted gradient.
     """
     n = cfg.n_grid
     dx = cfg.dx

@@ -296,25 +296,29 @@ def march(phi_0, t0, t_end, dt, sys, step):
     as returned, with a copy of ``phi_0`` first.  Returns (trajectory,
     traces): (time, state) pairs from the initial condition on, and the
     recorded traces.  An IntegrationError leaves with the step index and
-    the completed steps' traces attached.
+    the completed steps' traces attached.  The steps run with numpy's
+    overflow, invalid and divide warnings off, the package's one
+    floating-point policy: a corrupted value may overflow anywhere in a
+    step, and the finite checks and the guards report it.
     """
     phi = np.array(phi_0, dtype=float)
     boundaries = step_times(t0, t_end, dt).tolist()
     trajectory = [(boundaries[0], phi)]
     traces = []
     hook = sys.hook
-    for k in range(len(boundaries) - 1):
-        t_k = boundaries[k]
-        t_next = boundaries[k + 1]
-        hook.begin_step(k, t_k)
-        try:
-            phi, trace = step(k, phi, t_k, t_next - t_k)
-        except IntegrationError as exc:
-            exc.step_index, exc.traces = k, traces
-            raise
-        if trace is not None:
-            traces.append(trace)
-        trajectory.append((t_next, phi))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(len(boundaries) - 1):
+            t_k = boundaries[k]
+            t_next = boundaries[k + 1]
+            hook.begin_step(k, t_k)
+            try:
+                phi, trace = step(k, phi, t_k, t_next - t_k)
+            except IntegrationError as exc:
+                exc.step_index, exc.traces = k, traces
+                raise
+            if trace is not None:
+                traces.append(trace)
+            trajectory.append((t_next, phi))
     return trajectory, traces
 
 

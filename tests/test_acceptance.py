@@ -34,8 +34,6 @@ from resilient_sdc.quadrature import lobatto_rule
 from resilient_sdc.resilience import ControllerConfig, controller_policy
 from resilient_sdc.sdc import fixed_sweeps, integrate_step, predictor, sdc_sweep
 
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
-
 _DT = RunConfig(problem="ignition").surrogate.default_dt()
 
 # Fault-free final peak temperatures of the two integrators on the default

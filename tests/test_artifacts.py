@@ -20,8 +20,6 @@ from resilient_sdc.campaign import RunConfig, RunReport, run_campaign, run_singl
 from resilient_sdc.faults import FaultConfig, OneShotSpec
 from resilient_sdc.problems import IgnitionSurrogate
 
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
-
 _DT = IgnitionSurrogate().default_dt()
 _LOG_FILES = ["events.jsonl", "metrics.json"]  # JSON files, hashed by tools/fingerprint.py
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -21,8 +22,6 @@ from resilient_sdc.faults import FaultConfig, OneShotSpec
 from resilient_sdc.problems import KERNEL_IDS, LINEAR_KERNEL_ID, IgnitionSurrogate, LinearProblem
 from resilient_sdc.quadrature import lobatto_rule
 from resilient_sdc.sdc import integrate as sdc_integrate
-
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 _DT = RunConfig(problem="ignition").surrogate.default_dt()
 
@@ -106,6 +105,10 @@ def test_run_config_validation():
     with pytest.raises(ValueError, match="max_T names the hottest ignition grid point"):
         RunConfig(problem="linear",
                   one_shot=OneShotSpec(kernel_id=LINEAR_KERNEL_ID, offset="max_T")).validate()
+    # a one-shot fault runs alone: an armed fault stream beside it is an error
+    for mode in ("type_a", "type_b"):
+        with pytest.raises(ValueError, match=f"^a one-shot needs fault mode 'off', got '{mode}'$"):
+            RunConfig(fault=FaultConfig(mode=mode), one_shot=OneShotSpec()).validate()
 
 
 def test_one_shot_positions_the_integrator_never_evaluates_are_config_errors():
@@ -439,6 +442,27 @@ def test_convergence_study_input_validation(monkeypatch):
         convergence_study("linear", [1.0, 0.5, 0.25], [3], [4], t_end=800.0)
 
 
+@pytest.mark.parametrize(
+    "integrator, error",
+    [
+        ("rk", "non-finite state (step 712, sweep 1, node 1)"),
+        ("sdc_fixed", "non-finite state (step 712, sweep 1, node 1)"),
+        ("sdc_resilient",
+         "step failed realizability after retries: non-finite state at step 710 after 3 restarts"),
+    ],
+)
+def test_overflowing_linear_run_aborts_without_a_floating_point_warning(integrator, error):
+    """y' = y overflows past t = 709; the run reports it through its status
+    and error alone, and the caller's numpy error settings stay as they were."""
+    settings = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_single(RunConfig(problem="linear", integrator=integrator, t_end=800.0,
+                                      dt=1.0))
+    assert (report.status, report.error) == ("aborted", error)
+    assert np.geterr() == settings
+
+
 def test_convergence_study_runs_each_ladder_entry_through_run_single(monkeypatch):
     """Rows equal, bit for bit, a ladder of direct ``integrate`` calls, and
     the study makes one ``run_single`` call per nodes x sweeps x dts entry."""
@@ -465,6 +489,10 @@ def test_convergence_study_runs_each_ladder_entry_through_run_single(monkeypatch
     assert [(r["num_nodes"], r["sweeps"], r["errors"]) for r in rows] == expected
     assert all(r["dts"] == dts for r in rows)
     assert runs == [(n, s, dt) for n in node_counts for s in sweep_counts for dt in dts]
+    # each count iterable is read once, so one-shot iterables give the same rows
+    generated = convergence_study("linear", dts, iter(node_counts),
+                                  (s for s in sweep_counts), t_end=t_end)
+    assert len(generated) == 4 and generated == rows
 
 
 def test_convergence_study_supports_only_the_linear_problem(monkeypatch):

@@ -1,7 +1,10 @@
 """Command-line entry point: flags, config files, exit codes, artifacts."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -18,9 +21,8 @@ from resilient_sdc.cli import (
 from resilient_sdc.faults import FaultConfig, OneShotSpec
 from resilient_sdc.problems import IgnitionSurrogate, linear_exact
 
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
-
 DT = IgnitionSurrogate().default_dt()
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 CRASH_FAULT_FLAGS = [
     "--step", "2", "--sweep", "1", "--node", "0",
@@ -58,15 +60,35 @@ def test_converge_reports_observed_orders(capsys):
     assert 1.7 <= float(row[2]) <= 2.3
 
 
+def test_converge_ladder_abort_writes_one_config_error_line(tmp_path):
+    """A ladder run that overflows y' = y reports itself through the error
+    line alone: no floating-point warning reaches stderr."""
+    result = subprocess.run(
+        [sys.executable, "-m", "resilient_sdc.cli", "converge", "--t-end", "800",
+         "--dts", "1,0.5,0.25"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert result.returncode == EXIT_CONFIG
+    assert result.stdout == ""
+    assert result.stderr == ("config error: 3 nodes, 4 sweeps, dt 1.0: "
+                             "non-finite state (step 712, sweep 1, node 1)\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [["converge", "--problem", "ignition"], ["ignite", "--streams", "2"],
-     ["campaign", "--streams", "2"], ["ignite", "--output-every", "2"]],
+     ["campaign", "--streams", "2"], ["ignite", "--output-every", "2"],
+     ["campaign", "--seed", "1"], ["inject", "--seed", "1"], ["sense", "--seed", "1"],
+     ["campaign", "--run-id", "1"], ["sense", "--run-id", "1"]],
 )
 def test_removed_options_are_usage_errors(argv, capsys):
     """``converge`` studies only the linear problem, the injector has one
     fault stream and ``trajectory.csv`` keeps every step, so these options
-    are rejected before anything runs."""
+    are rejected before anything runs.  So are settings that cannot change
+    a run: ``--base-seed`` sets a campaign's seed and the member index its
+    run ids, ``inject`` and ``sense`` draw nothing at random, and ``sense``
+    writes no run id."""
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == EXIT_CONFIG
@@ -213,6 +235,8 @@ def test_config_values_are_read_as_their_flags_read_them(tmp_path, capsys, comma
          "config: not a flag of ignite\n"),
         ("ignite", {"help": "yes", "output_dir": "x", "problem": "linear"},
          "help: not a flag of ignite\n"),
+        # seed is a flag of ignite alone
+        ("inject", {"seed": 3}, "seed: not a flag of inject (a flag of ignite)\n"),
     ],
 )
 def test_config_keys_that_name_no_flag_of_the_command_are_config_errors(

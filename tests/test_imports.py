@@ -7,8 +7,8 @@ armed injector draws from.
 Each of those checks runs in a new interpreter, so ``sys.modules`` starts
 clean.  The last checks read the source: no module imports a name it never
 uses, only ``campaign`` opens a file for writing, no package module
-imports another's underscore name, and only ``campaign.run_single`` calls
-an integrator.
+imports another's underscore name, only ``campaign.run_single`` calls an
+integrator, and only ``sdc.march`` sets numpy's floating-point error state.
 """
 
 import ast
@@ -264,3 +264,79 @@ def test_only_run_single_calls_an_integrator():
     assert len(paths) > 8
     found = [entry for path in paths for entry in integrator_calls(path)]
     assert found == [], "integrator calls outside campaign.run_single:\n" + "\n".join(found)
+
+
+# The one owner of numpy's floating-point error state: every integration
+# runs its steps under the policy ``march`` sets, so no kernel, sweep or
+# caller in the package sets its own or filters warnings.
+FLOAT_POLICY_OWNER = ("sdc.py", "march")
+ERROR_STATE_NAMES = ("errstate", "seterr")
+
+
+def float_policy_faults(path):
+    """``file:line: fault`` for each use of ``errstate`` or ``seterr``
+    outside ``sdc.march``, and each import of ``warnings``, in line order;
+    the owner named is the module-level function or class the use sits in."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    where = os.path.relpath(path, ROOT)
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if (name in ERROR_STATE_NAMES
+                    and (os.path.basename(path), owner) != FLOAT_POLICY_OWNER):
+                found.append((node.lineno, f"uses {name} in {owner or 'the module'}"))
+            modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                       else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(module.split(".")[0] == "warnings" for module in modules):
+                found.append((node.lineno, "imports warnings"))
+    return [f"{where}:{line}: {fault}" for line, fault in sorted(found)]
+
+
+def test_float_policy_faults_helper_names_each_fault(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import os, warnings\n"
+        "import numpy as np\n"
+        "from warnings import catch_warnings\n"
+        "@np.errstate(over='ignore')\n"
+        "def kernel(x):\n"
+        "    return x\n"
+        "def march(x):\n"
+        "    with np.errstate(all='ignore'):\n"
+        "        np.seterr(all='ignore')\n"
+        "class Stepper:\n"
+        "    def run(self):\n"
+        "        with errstate(all='ignore'):\n"
+        "            pass\n"
+        "state = np.geterr()\n"
+    )
+    owner = tmp_path / "sdc.py"
+    owner.write_text(
+        "import numpy as np\n"
+        "def march(x):\n"
+        "    with np.errstate(all='ignore'):\n"
+        "        return x\n"
+        "np.seterr(all='ignore')\n"
+    )
+    where, elsewhere = (os.path.relpath(str(p), ROOT) for p in (module, owner))
+    assert float_policy_faults(str(module)) == [
+        f"{where}:1: imports warnings",
+        f"{where}:3: imports warnings",
+        f"{where}:4: uses errstate in kernel",
+        f"{where}:8: uses errstate in march",
+        f"{where}:9: uses seterr in march",
+        f"{where}:12: uses errstate in Stepper",
+    ]
+    assert float_policy_faults(str(owner)) == [f"{elsewhere}:5: uses seterr in the module"]
+
+
+def test_only_march_sets_the_floating_point_policy():
+    folder = os.path.join(SRC, "resilient_sdc")
+    paths = [os.path.join(folder, name) for name in sorted(os.listdir(folder))
+             if name.endswith(".py")]
+    assert len(paths) > 8
+    found = [entry for path in paths for entry in float_policy_faults(path)]
+    assert found == [], "floating-point policy outside sdc.march:\n" + "\n".join(found)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from resilient_sdc.campaign import RunConfig, run_single
+from resilient_sdc.errors import NonRealizableStateError
 from resilient_sdc.faults import KernelHook, OneShotPerturbation, OneShotSpec
 from resilient_sdc.problems import (
     KERNEL_IDS,
@@ -325,17 +326,22 @@ def test_disarmed_hook_does_not_change_the_rhs():
 
 def test_corrupted_evaluation_raises_no_floating_point_warning():
     """A state corrupted far out of range overflows in the stencil and the
-    chemistry alike; the whole evaluation runs with those warnings off, and
-    the caller's error settings are left as they were."""
+    chemistry alike.  ``march`` runs the step with those warnings off, so the
+    run reports the fault through its error alone, and the caller's error
+    settings are left as they were.  A direct call keeps those settings."""
     cfg = IgnitionSurrogate()
     state = cfg.initial_state()
     state[5] = 1.0e306
     settings = np.geterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = surrogate_rhs(state, 0.0, cfg, hook=KernelHook())
-    assert not np.isfinite(out).all()
+        with pytest.raises(NonRealizableStateError) as excinfo:
+            integrate(state, 0.0, cfg.default_dt(), cfg.default_dt(), lobatto_rule(3),
+                      cfg.system(), 4)
+    assert str(excinfo.value) == "non-finite rhs evaluation (step 0, sweep 1, node 0)"
     assert np.geterr() == settings
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        surrogate_rhs(state, 0.0, cfg, hook=KernelHook())
 
 
 def test_kernels_run_once_per_evaluation_in_declared_order():
