@@ -49,9 +49,16 @@ _INTEGRATORS = ("rk", "sdc_fixed", "sdc_resilient")
 DEFAULT_IGNITION_T_END = 9.0e-3
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything needed to reproduce one integration run, which starts at t = 0."""
+    """Everything needed to reproduce one integration run, which starts at t = 0.
+
+    A config checks itself when it is built, as the configs it holds do, so
+    one that exists is valid and ``dataclasses.replace`` re-checks every
+    derived config.  The time grid is checked by ``step_count``, that is by
+    ``sdc.step_times``; a one-shot fault must name a kernel of the problem
+    and a (step, sweep, node) the integrator evaluates.
+    """
 
     problem: str = "ignition"
     integrator: str = "sdc_resilient"
@@ -66,7 +73,7 @@ class RunConfig:
     run_id: int = 0
     output_dir: Optional[str] = None
 
-    def validate(self):
+    def __post_init__(self):
         if self.problem not in _PROBLEMS:
             raise ValueError(f"problem must be one of {_PROBLEMS}, got {self.problem!r}")
         if self.integrator not in _INTEGRATORS:
@@ -75,14 +82,9 @@ class RunConfig:
             )
         lobatto_rule(self.num_nodes)  # raises for a node count without an exact rule
         fixed_sweeps(self.sweeps)  # raises for a sweep count below 1
-        for name in ("dt", "t_end"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.dt is not None and self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_end is not None and self.t_end < 0.0:
-            raise ValueError(f"t_end must not be negative, got {self.t_end}")
+        if self.run_id < 0:
+            raise ValueError(f"run_id must be >= 0, got {self.run_id}")
+        steps = self.step_count()  # raises for a dt or t_end step_times refuses
         if self.one_shot is not None:
             if self.fault.mode != "off":
                 raise ValueError(f"a one-shot needs fault mode 'off', got {self.fault.mode!r}")
@@ -101,7 +103,7 @@ class RunConfig:
                 "sdc_fixed": (self.sweeps, self.num_nodes),
                 "sdc_resilient": (self.controller.max_sweeps, self.num_nodes),
             }[self.integrator]
-            steps, step = self.step_count(), self.one_shot.step_index
+            step = self.one_shot.step_index
             if step >= steps:
                 raise ValueError(f"one-shot step_index must be < {steps} for a {steps}-step run, "
                                  f"got {step}")
@@ -113,7 +115,6 @@ class RunConfig:
                 raise ValueError(f"one-shot node_index must be < {nodes} {where}")
             if node == 0 and sweep >= 2:
                 raise ValueError(f"one-shot node 0 is evaluated only in sweep 1 {where}")
-        return self
 
     def resolved_dt(self):
         if self.dt is not None:
@@ -166,27 +167,16 @@ def summarize(values, *, runs=None, crash_count=0, restart_count=0):
     variance zero by convention.
     """
     ordered = sorted(float(v) for v in values)
-    if not ordered:
-        nan = math.nan
-        return CampaignSummary(
-            runs=runs if runs is not None else 0,
-            mean=nan,
-            minimum=nan,
-            maximum=nan,
-            span=nan,
-            variance=nan,
-            crash_count=crash_count,
-            restart_count=restart_count,
-            scalars=[],
-        )
-    arr = np.array(ordered)
-    variance = float(np.var(arr, ddof=1)) if arr.size > 1 else 0.0
+    mean = minimum = maximum = variance = math.nan  # no completed run
+    if ordered:
+        mean, minimum, maximum = float(np.mean(ordered)), ordered[0], ordered[-1]
+        variance = float(np.var(ordered, ddof=1)) if len(ordered) > 1 else 0.0
     return CampaignSummary(
         runs=runs if runs is not None else len(ordered),
-        mean=float(np.mean(arr)),
-        minimum=float(arr[0]),
-        maximum=float(arr[-1]),
-        span=float(arr[-1] - arr[0]),
+        mean=mean,
+        minimum=minimum,
+        maximum=maximum,
+        span=maximum - minimum,
         variance=variance,
         crash_count=crash_count,
         restart_count=restart_count,
@@ -216,10 +206,10 @@ def run_single(cfg):
 
     The one run driver: no other code in the package calls an integrator,
     so campaigns, sensitivity sweeps and convergence studies all run here.
+    ``cfg`` checked itself when it was built, so nothing is checked again.
     Returns a RunReport; integration failures are reported with status
     ``aborted`` rather than raised, so campaign accounting stays simple.
     """
-    cfg.validate()
     hook = _build_hook(cfg)
     problem, sys, phi0 = _build_system(cfg, hook)
     dt = cfg.resolved_dt()
@@ -362,22 +352,17 @@ def _write_jsonl(path, records):
         fh.write("".join(json.dumps(record, sort_keys=True) + "\n" for record in records))
 
 
-def _campaign_member_config(cfg, run_index, base_seed):
-    fault = replace(cfg.fault, seed=base_seed)
-    return replace(cfg, run_id=run_index, fault=fault, output_dir=None)
-
-
 def _report_scalar(report):
     if report.config.problem == "ignition":
-        return report.metrics.get("final_peak_T", math.nan)
-    return report.metrics.get("final_y", math.nan)
+        return report.metrics["final_peak_T"]
+    return report.metrics["final_y"]
 
 
-def _campaign_worker(args):
-    cfg, run_index, base_seed = args
-    report = run_single(_campaign_member_config(cfg, run_index, base_seed))
+def _campaign_worker(cfg):
+    """Run one member's config; returns its ``runs.csv`` row as a dict."""
+    report = run_single(cfg)
     return {
-        "run_id": run_index,
+        "run_id": cfg.run_id,
         "scalar": _report_scalar(report),
         "status": report.status,
         "restarts": report.metrics["restarts"],
@@ -389,28 +374,29 @@ def _campaign_worker(args):
 def run_campaign(cfg, n_runs, base_seed, *, workers=1):
     """Monte Carlo campaign of independent runs with derived seeds.
 
-    Run ``i`` uses the injection stream keyed by (base_seed, i), so the
-    campaign is reproducible bit for bit regardless of worker count.
-    Statistics cover completed (non-aborted) runs; aborts are tallied in
-    ``crash_count``.  ``workers`` processes run the members; 1 runs them in
-    this process.
+    Run ``i`` is ``cfg`` with run id ``i`` and fault seed ``base_seed``, so
+    it uses the injection stream keyed by (base_seed, i), and the campaign
+    is reproducible bit for bit regardless of worker count.  Every member's
+    config is built before the first run, so a bad ``base_seed`` runs
+    nothing.  Statistics cover completed (non-aborted) runs; aborts are
+    tallied in ``crash_count``.  ``workers`` processes run the members; 1
+    runs them in this process.
     """
-    cfg.validate()
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    jobs = [(cfg, i, base_seed) for i in range(n_runs)]
+    fault = replace(cfg.fault, seed=base_seed)
+    members = [replace(cfg, run_id=i, fault=fault, output_dir=None) for i in range(n_runs)]
     if workers > 1:
         # Imported here: concurrent.futures pulls in multiprocessing, which a
         # serial campaign never needs.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_campaign_worker, jobs, chunksize=1))
+            rows = list(pool.map(_campaign_worker, members, chunksize=1))
     else:
-        rows = [_campaign_worker(job) for job in jobs]
-    rows.sort(key=lambda row: row["run_id"])
+        rows = [_campaign_worker(member) for member in members]
 
     completed = [row for row in rows if row["status"] != "aborted"]
     summary = summarize(
@@ -465,14 +451,15 @@ def sensitivity_sweep(cfg, kernels=None, *, step_index=None):
     step (default: a third of the way through the run).  Returns one row
     per kernel with the final-peak deviation, and writes the rows to
     ``sensitivity.csv`` in ``cfg.output_dir`` when it is set; the runs
-    themselves write nothing.  Every kernel's run is configured and
-    validated before the baseline runs, so an unknown kernel id or a step
-    the run never reaches fails at once.
+    themselves write nothing.  Every kernel's run config is built, and so
+    checked, before the baseline runs, so an empty kernel list, an unknown
+    kernel id or a step the run never reaches fails at once.
     """
-    cfg.validate()
     if cfg.problem != "ignition":
         raise ValueError("sensitivity_sweep is defined for the ignition surrogate")
     kernels = list(kernels) if kernels is not None else list(KERNEL_IDS)
+    if not kernels:
+        raise ValueError("need at least one kernel")
     if step_index is None:
         step_index = cfg.step_count() // 3
 
@@ -480,7 +467,7 @@ def sensitivity_sweep(cfg, kernels=None, *, step_index=None):
     spec = OneShotSpec(step_index=step_index, sweep_index=1, node_index=0, offset="max_T",
                        mode="type_a", scale=cfg.fault.scale)
     kernel_cfgs = [
-        replace(base_cfg, one_shot=replace(spec, kernel_id=kernel)).validate() for kernel in kernels
+        replace(base_cfg, one_shot=replace(spec, kernel_id=kernel)) for kernel in kernels
     ]
     baseline = run_single(base_cfg)
     base_peak = baseline.metrics["final_peak_T"]
@@ -510,10 +497,10 @@ def convergence_study(problem, dt_list, node_counts, sweep_counts, *, t_end=1.0)
     contributes one row: per timestep, the ``abs_error`` of one fixed-sweep
     ``run_single`` run against the exact solution of y' = lambda y, and the
     least-squares slope of log error versus log dt.  Each count iterable is
-    read once.  Every run is configured and validated before the first one,
-    so a bad node count, sweep count, timestep or ``t_end`` (not finite, or
-    shorter than the largest timestep) runs nothing.  A run that aborts
-    raises ValueError with its error.
+    read once.  Every run's config is built, and so checked, before the
+    first run, so an empty or bad node or sweep count, a bad timestep or a
+    bad ``t_end`` (not finite, or shorter than the largest timestep) runs
+    nothing.  A run that aborts raises ValueError with its error.
     """
     if problem != "linear":
         raise ValueError(f"convergence_study supports only the linear problem, got {problem!r}")
@@ -529,10 +516,13 @@ def convergence_study(problem, dt_list, node_counts, sweep_counts, *, t_end=1.0)
         raise ValueError(f"t_end must be at least the largest timestep {max(dts)!r}, got {t_end!r}")
 
     node_counts, sweep_counts = list(node_counts), list(sweep_counts)
+    for name, counts in (("node", node_counts), ("sweep", sweep_counts)):
+        if not counts:
+            raise ValueError(f"need at least one {name} count")
     ladders = [
         [
             RunConfig(problem="linear", integrator="sdc_fixed", num_nodes=num_nodes,
-                      sweeps=sweeps, dt=dt, t_end=t_end).validate()
+                      sweeps=sweeps, dt=dt, t_end=t_end)
             for dt in dts
         ]
         for num_nodes in node_counts

@@ -7,7 +7,8 @@ reads its text (a JSON list as a comma list), and explicit flags win.  A
 key that names no flag of the command, nor the program's ``output_dir``, is
 an error; so are ``config`` and ``help``.
 Settings that neither gives take the library's defaults (``RunConfig``,
-``FaultConfig``, ``OneShotSpec``).  The output directory falls back to the
+``FaultConfig``, ``OneShotSpec``), bar ``campaign``'s fault mode, which is
+``type_b``.  The output directory falls back to the
 RESILIENT_SDC_OUTPUT_DIR environment variable, then ./runs.
 
 Exit codes: 0 clean completion, 2 configuration error (for ``converge``,
@@ -125,7 +126,8 @@ def build_parser():
     p_campaign.add_argument("--runs", type=int, default=50)
     p_campaign.add_argument("--base-seed", type=int, default=0)
     p_campaign.add_argument("--workers", type=int)
-    p_campaign.add_argument("--fault-mode", choices=["off", "type_a", "type_b"])
+    p_campaign.add_argument("--fault-mode", choices=["off", "type_a", "type_b"],
+                            default="type_b")
     p_campaign.add_argument("--window", type=int)
     p_campaign.add_argument("--scale", type=float)
     p_campaign.set_defaults(func=_cmd_campaign)
@@ -251,8 +253,6 @@ def _cmd_ignite(args):
 
 def _cmd_campaign(args):
     cfg = _run_config(args, output_dir=_output_dir(args))
-    if cfg.fault.mode == "off":
-        cfg = replace(cfg, fault=replace(cfg.fault, mode="type_b"))
     summary = run_campaign(cfg, args.runs, args.base_seed, **_given(args, {"workers": "workers"}))
     print(f"runs: {summary.runs}  completed: {len(summary.scalars)}  "
           f"crashes: {summary.crash_count}  restarts: {summary.restart_count}")

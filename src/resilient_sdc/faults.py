@@ -49,7 +49,7 @@ def bit_flip(value, bit):
     return float((pattern ^ np.uint64(1 << bit)).view(np.float64))
 
 
-@dataclass
+@dataclass(frozen=True)
 class FaultConfig:
     """Windowed-injection settings.
 
@@ -68,6 +68,8 @@ class FaultConfig:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -190,7 +192,7 @@ class FaultInjector(KernelHook):
         self.due_call = self._draw(call_index // self.cfg.window + 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OneShotSpec:
     """Schedule and corruption model for a single deterministic fault.
 

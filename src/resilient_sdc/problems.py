@@ -124,7 +124,7 @@ def _stencil_wavenumber_max():
 _STENCIL_WAVENUMBER_MAX = _stencil_wavenumber_max()
 
 
-@dataclass
+@dataclass(frozen=True)
 class IgnitionSurrogate:
     """Parameters of the periodic reaction-diffusion ignition model.
 

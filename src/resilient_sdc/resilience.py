@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControllerConfig:
     """Acceptance thresholds and budgets for the resilient sweep loop.  A step
     takes at least the two sweeps ``converged`` compares: ``max_sweeps`` >= 2."""

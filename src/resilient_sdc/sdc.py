@@ -111,16 +111,13 @@ def non_finite_violation(state):
 
 
 def realizability_guard(state, sys):
-    """None when the state is realizable, else a violation description.
+    """None when the state passes the system's ``realizability``, else a
+    violation description (non-finite components included, see ODESystem).
 
-    Non-finite components are always violations: a system's own
-    ``realizability`` check reports them (see ODESystem), and a system
-    without one gets a finite-check here.  The integrators call it only for
-    systems with a ``realizability``: ``evaluate`` finite-checks the rest.
+    The integrators call it only for systems with a ``realizability``:
+    ``evaluate`` finite-checks the state of every rhs call already.
     """
-    if sys.realizability is not None:
-        return sys.realizability(state)
-    return non_finite_violation(state)
+    return sys.realizability(state)
 
 
 def evaluate(sys, state, t, node, sweep):
@@ -265,17 +262,18 @@ def step_times(t0, t_end, dt):
     """Step boundaries covering [t0, t_end] with a truncated final step.
 
     The last boundary is exactly t_end.  Returns an array of length
-    ``steps + 1``; for t_end == t0 it is just [t0].  Every argument must be
-    finite.
+    ``steps + 1``; for t_end == t0 it is just [t0].  The one check of a time
+    grid, ``RunConfig``'s included: every argument must be finite (checked
+    in the order t0, dt, t_end), dt positive and t_end not before t0.
     """
-    for name, value in (("t0", t0), ("t_end", t_end), ("dt", dt)):
+    for name, value in (("t0", t0), ("dt", dt), ("t_end", t_end)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     span = t_end - t0
     if span < 0.0:
-        raise ValueError("t_end must not precede t0")
+        raise ValueError(f"t_end must not precede t0 {t0}, got {t_end}")
     if span == 0.0:
         return np.array([float(t0)])
     n_whole = math.floor(span / dt)

@@ -3,8 +3,9 @@
 import csv
 import json
 import math
+import re
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -76,39 +77,41 @@ def test_summary_of_no_completed_runs():
 
 def test_run_config_validation():
     with pytest.raises(ValueError):
-        RunConfig(problem="navier_stokes").validate()
+        RunConfig(problem="navier_stokes")
     with pytest.raises(ValueError):
-        RunConfig(integrator="leapfrog").validate()
+        RunConfig(integrator="leapfrog")
     with pytest.raises(ValueError):
-        RunConfig(num_nodes=1).validate()
-    RunConfig(num_nodes=8).validate()
+        RunConfig(num_nodes=1)
+    RunConfig(num_nodes=8)
     with pytest.raises(ValueError, match="exact only up to 8 nodes, got 9"):
-        RunConfig(num_nodes=9).validate()
+        RunConfig(num_nodes=9)
     with pytest.raises(ValueError):
-        RunConfig(dt=-0.1).validate()
-    with pytest.raises(ValueError):
-        RunConfig(t_end=-1.0).validate()
+        RunConfig(dt=-0.1)
+    with pytest.raises(ValueError, match="^t_end must not precede t0 0.0, got -1.0$"):
+        RunConfig(t_end=-1.0)
+    with pytest.raises(ValueError, match="^run_id must be >= 0, got -3$"):
+        RunConfig(run_id=-3)
     for name in ("dt", "t_end"):
         for value in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match=f"^{name} must be finite"):
-                RunConfig(**{name: value}).validate()
+                RunConfig(**{name: value})
     # a one-shot fault names a kernel of the run's problem
     for kernel in KERNEL_IDS:
-        RunConfig(one_shot=OneShotSpec(kernel_id=kernel)).validate()
-    RunConfig(problem="linear", one_shot=OneShotSpec(kernel_id=LINEAR_KERNEL_ID)).validate()
+        RunConfig(one_shot=OneShotSpec(kernel_id=kernel))
+    RunConfig(problem="linear", one_shot=OneShotSpec(kernel_id=LINEAR_KERNEL_ID))
     for problem, kernel in (("ignition", LINEAR_KERNEL_ID), ("ignition", "no_such_kernel"),
                             ("linear", "assembly")):
         with pytest.raises(ValueError, match=f"one-shot kernel must be one of .* got '{kernel}'"):
-            RunConfig(problem=problem, one_shot=OneShotSpec(kernel_id=kernel)).validate()
+            RunConfig(problem=problem, one_shot=OneShotSpec(kernel_id=kernel))
     # max_T reads the ignition state's temperatures, which the linear problem lacks
-    RunConfig(one_shot=OneShotSpec(offset="max_T")).validate()
+    RunConfig(one_shot=OneShotSpec(offset="max_T"))
     with pytest.raises(ValueError, match="max_T names the hottest ignition grid point"):
         RunConfig(problem="linear",
-                  one_shot=OneShotSpec(kernel_id=LINEAR_KERNEL_ID, offset="max_T")).validate()
+                  one_shot=OneShotSpec(kernel_id=LINEAR_KERNEL_ID, offset="max_T"))
     # a one-shot fault runs alone: an armed fault stream beside it is an error
     for mode in ("type_a", "type_b"):
         with pytest.raises(ValueError, match=f"^a one-shot needs fault mode 'off', got '{mode}'$"):
-            RunConfig(fault=FaultConfig(mode=mode), one_shot=OneShotSpec()).validate()
+            RunConfig(fault=FaultConfig(mode=mode), one_shot=OneShotSpec())
 
 
 def test_one_shot_positions_the_integrator_never_evaluates_are_config_errors():
@@ -122,7 +125,7 @@ def test_one_shot_positions_the_integrator_never_evaluates_are_config_errors():
         ("sdc_resilient", dict(sweep_index=1, node_index=0)),
     ]
     for integrator, position in reachable:
-        RunConfig(integrator=integrator, one_shot=OneShotSpec(**position)).validate()
+        RunConfig(integrator=integrator, one_shot=OneShotSpec(**position))
     unreachable = [
         ("rk", dict(node_index=4), "node_index must be < 4 for rk"),
         ("rk", dict(sweep_index=2, node_index=1), "sweep_index must be <= 1 for rk"),
@@ -135,24 +138,57 @@ def test_one_shot_positions_the_integrator_never_evaluates_are_config_errors():
     ]
     for integrator, position, message in unreachable:
         with pytest.raises(ValueError, match=f"^one-shot {message}"):
-            RunConfig(integrator=integrator, one_shot=OneShotSpec(**position)).validate()
+            RunConfig(integrator=integrator, one_shot=OneShotSpec(**position))
     # the bounds follow the run's own node and sweep counts
     RunConfig(integrator="sdc_fixed", num_nodes=5, sweeps=6,
-              one_shot=OneShotSpec(sweep_index=6, node_index=4)).validate()
+              one_shot=OneShotSpec(sweep_index=6, node_index=4))
     # and its step count: the last step of a 21-step run is step 20
     for integrator in ("rk", "sdc_fixed", "sdc_resilient"):
         cfg = RunConfig(integrator=integrator, t_end=1.6e-4)
         assert cfg.step_count() == 21
-        replace(cfg, one_shot=OneShotSpec(step_index=20)).validate()
+        replace(cfg, one_shot=OneShotSpec(step_index=20))
         with pytest.raises(ValueError, match="^one-shot step_index must be < 21 for a 21-step run, "
                                              "got 21$"):
-            replace(cfg, one_shot=OneShotSpec(step_index=21)).validate()
+            replace(cfg, one_shot=OneShotSpec(step_index=21))
     with pytest.raises(ValueError, match="^one-shot step_index must be < 0 for a 0-step run"):
-        RunConfig(t_end=0.0, one_shot=OneShotSpec()).validate()
+        RunConfig(t_end=0.0, one_shot=OneShotSpec())
+
+
+def _config_dataclasses(obj):
+    """``obj`` and every dataclass instance its fields hold, depth first."""
+    found = [obj]
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            found += _config_dataclasses(value)
+    return found
+
+
+def test_every_config_dataclass_is_frozen():
+    """A config is checked when it is built, so none may change after."""
+    configs = _config_dataclasses(RunConfig(one_shot=OneShotSpec()))
+    assert {type(c).__name__ for c in configs} == {
+        "RunConfig", "ControllerConfig", "FaultConfig", "OneShotSpec", "IgnitionSurrogate"}
+    for config in configs:
+        for f in fields(config):
+            with pytest.raises(FrozenInstanceError):
+                setattr(config, f.name, getattr(config, f.name))
+
+
+def test_replace_rechecks_the_derived_config():
+    cfg = RunConfig(integrator="sdc_fixed", t_end=1.6e-4, one_shot=OneShotSpec(step_index=20))
+    for changes, message in (
+        (dict(dt=-0.1), "dt must be positive, got -0.1"),
+        (dict(one_shot=OneShotSpec(step_index=21)),
+         "one-shot step_index must be < 21 for a 21-step run, got 21"),
+        (dict(fault=FaultConfig(mode="type_b")), "a one-shot needs fault mode 'off', got 'type_b'"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(cfg, **changes)
 
 
 def test_step_count_is_the_number_of_steps_a_run_takes():
-    """The count ``validate`` bounds one-shot steps with, the truncated final
+    """The count a ``RunConfig`` bounds one-shot steps with, the truncated final
     step included, is the number of steps ``run_single`` reports."""
     for cfg in (RunConfig(problem="linear", integrator="rk"),
                 RunConfig(problem="linear", integrator="sdc_fixed", dt=0.3),
@@ -168,6 +204,8 @@ def test_sensitivity_sweep_checks_its_kernels_before_any_run(monkeypatch):
         sensitivity_sweep(_ignition_cfg(), kernels=["assembly", "no_such_kernel"], step_index=1)
     with pytest.raises(ValueError, match="step_index"):
         sensitivity_sweep(_ignition_cfg(), kernels=["assembly"], step_index=-1)
+    with pytest.raises(ValueError, match="^need at least one kernel$"):
+        sensitivity_sweep(_ignition_cfg(), kernels=[], step_index=1)
     assert runs == []
 
 
@@ -182,6 +220,16 @@ def test_campaign_rejects_fewer_than_one_worker(monkeypatch):
     for workers in (0, -3):
         with pytest.raises(ValueError, match=f"^workers must be >= 1, got {workers}$"):
             run_campaign(_ignition_cfg(), 2, base_seed=1, workers=workers)
+    assert runs == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_campaign_rejects_a_negative_base_seed_before_any_run(monkeypatch, workers):
+    runs = []
+    monkeypatch.setattr(campaign_module, "run_single", runs.append)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -2$"):
+        run_campaign(_ignition_cfg(fault=FaultConfig(mode="type_b")), 3, base_seed=-2,
+                     workers=workers)
     assert runs == []
 
 
@@ -426,6 +474,9 @@ def test_convergence_study_input_validation(monkeypatch):
             convergence_study("linear", [0.2, 0.1, 0.05], node_counts, [4])
     with pytest.raises(ValueError, match="sweep count must be >= 1, got 0"):
         convergence_study("linear", [0.02, 0.01, 0.005], [3, 4], [30, 0])
+    for node_counts, sweep_counts, name in (([], [4], "node"), ([3], [], "sweep")):
+        with pytest.raises(ValueError, match=f"^need at least one {name} count$"):
+            convergence_study("linear", [0.2, 0.1, 0.05], node_counts, sweep_counts)
     # so are t_end (finite, and at least the largest timestep) and every timestep
     for t_end in (0.0, 0.01, 0.19, -1.0):
         with pytest.raises(ValueError, match="t_end must be at least the largest timestep 0.2"):

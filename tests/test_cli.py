@@ -1,5 +1,6 @@
 """Command-line entry point: flags, config files, exit codes, artifacts."""
 
+import csv
 import json
 import os
 import re
@@ -280,6 +281,18 @@ def test_rules_past_eight_nodes_are_config_errors(tmp_path, capsys, monkeypatch,
         (["campaign", "--workers", "-3", "--runs", "2"], "workers must be >= 1, got -3"),
         (["inject", "--integrator", "rk", "--mode", "type_b", "--bit", "70", "--step", "30",
           "--kernel", "assembly", "--t-end", "5e-4"], "one-shot bit must be in [0, 63], got 70"),
+        (["ignite", "--fault-mode", "type_b", "--t-end", "2e-4", "--seed", "-1"],
+         "seed must be >= 0, got -1"),
+        (["ignite", "--fault-mode", "type_b", "--t-end", "2e-4", "--run-id", "-3"],
+         "run_id must be >= 0, got -3"),
+        (["campaign", "--runs", "3", "--t-end", "2e-4", "--base-seed", "-2"],
+         "seed must be >= 0, got -2"),
+        (["campaign", "--runs", "3", "--t-end", "2e-4", "--base-seed", "-2", "--workers", "2"],
+         "seed must be >= 0, got -2"),
+        (["converge", "--nodes", ","], "need at least one node count"),
+        (["converge", "--sweeps", ","], "need at least one sweep count"),
+        (["sense", "--kernels", ",", "--t-end", "1.6e-4", "--step", "1"],
+         "need at least one kernel"),
     ],
 )
 def test_settings_rejected_before_any_run_are_config_errors(tmp_path, capsys, monkeypatch, argv,
@@ -373,6 +386,20 @@ def test_campaign_subcommand_prints_summary_and_artifacts(tmp_path, capsys):
     assert len(rows) == 3  # header + one row per run
     assert (out_dir / "summary.json").exists()
     assert (out_dir / "histogram.csv").exists()
+
+
+@pytest.mark.parametrize("flags, config", [(["--fault-mode", "off"], {}),
+                                           ([], {"fault_mode": "off"})])
+def test_campaign_fault_mode_off_runs_fault_free_members(tmp_path, capsys, flags, config):
+    """``type_b`` is only the default: an explicit ``off``, by flag or config
+    key, is honoured."""
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps(config))
+    rc = main(["--config", str(path), "--output-dir", str(tmp_path / "out"), "campaign",
+               "--runs", "2", "--t-end", "2e-4", "--window", "96", *flags])
+    assert rc == EXIT_OK
+    with open(tmp_path / "out" / "runs.csv", newline="") as fh:
+        assert [row["fault_events"] for row in csv.DictReader(fh)] == ["0", "0"]
 
 
 def test_sense_subcommand_writes_sensitivity_table(tmp_path, capsys):

@@ -78,6 +78,8 @@ def test_fault_config_validation():
         FaultConfig(mode="gamma_ray")
     with pytest.raises(ValueError):
         FaultConfig(window=0)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        FaultConfig(seed=-1)
 
 
 def test_one_shot_spec_validation():

@@ -142,12 +142,6 @@ def test_guard_rejects_non_finite_components():
     assert "non-finite" in message and "17" in message
 
 
-def test_guard_without_bounds_rejects_non_finite_components():
-    sys_ = LinearProblem().system()
-    assert realizability_guard(np.array([1.0, -2.0]), sys_) is None
-    assert realizability_guard(np.array([1.0, np.inf]), sys_) == "non-finite value at component 1"
-
-
 def test_resilience_reexports_the_sdc_guard():
     assert realizability_guard is sdc_module.realizability_guard
 
