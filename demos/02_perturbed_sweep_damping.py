@@ -36,7 +36,7 @@ clean = node_iterates(KernelHook())
 
 for s in [1.5, 100.0]:
     fault = OneShotSpec(step_index=0, sweep_index=3, node_index=2, kernel_id=LINEAR_KERNEL_ID,
-                        offset=0, mode="type_a", scale=s)
+                        offset=0, scale=s)
     perturbed = node_iterates(OneShotPerturbation(fault))
     deviation = [float(np.max(np.abs(p - c))) for p, c in zip(perturbed, clean)]
     print(f"perturbation y' = {s}*y at sweep 3, node 2:")

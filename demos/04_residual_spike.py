@@ -16,7 +16,6 @@ fault = OneShotSpec(
     node_index=2,
     kernel_id="reaction_rate",
     offset=85,
-    mode="type_a",
     scale=1.0e4,
 )
 t_end = 67 * RunConfig(problem="ignition").surrogate.default_dt()

@@ -19,9 +19,7 @@ import numpy as np
 
 from .errors import IntegrationError
 from .faults import FaultConfig, FaultInjector, KernelHook, OneShotPerturbation, OneShotSpec
-from .problems import (
-    KERNEL_IDS, LINEAR_KERNEL_ID, IgnitionSurrogate, LinearProblem, ignition_metrics,
-)
+from .problems import KERNEL_IDS, IgnitionSurrogate, LinearProblem, ignition_metrics
 from .quadrature import lobatto_rule
 from .resilience import ControllerConfig, integrate_resilient
 from .rk import rk_integrate
@@ -56,8 +54,9 @@ class RunConfig:
     A config checks itself when it is built, as the configs it holds do, so
     one that exists is valid and ``dataclasses.replace`` re-checks every
     derived config.  The time grid is checked by ``step_count``, that is by
-    ``sdc.step_times``; a one-shot fault must name a kernel of the problem
-    and a (step, sweep, node) the integrator evaluates.
+    ``sdc.step_times``; a one-shot fault must name a kernel of the problem,
+    an offset inside that kernel's array and a (step, sweep, node) the
+    integrator evaluates.
     """
 
     problem: str = "ignition"
@@ -88,14 +87,15 @@ class RunConfig:
         if self.one_shot is not None:
             if self.fault.mode != "off":
                 raise ValueError(f"a one-shot needs fault mode 'off', got {self.fault.mode!r}")
-            if self.one_shot.offset == "max_T" and self.problem == "linear":
+            offset, kernel = self.one_shot.offset, self.one_shot.kernel_id
+            if offset == "max_T" and self.problem == "linear":
                 raise ValueError("one-shot offset max_T names the hottest ignition grid point; "
                                  "the linear problem has none")
-            kernels = (LINEAR_KERNEL_ID,) if self.problem == "linear" else KERNEL_IDS
-            if self.one_shot.kernel_id not in kernels:
+            model = self.model()
+            if kernel not in model.kernel_ids:
                 raise ValueError(
-                    f"one-shot kernel must be one of {kernels} for the {self.problem} problem, "
-                    f"got {self.one_shot.kernel_id!r}"
+                    f"one-shot kernel must be one of {model.kernel_ids} for the {self.problem} "
+                    f"problem, got {kernel!r}"
                 )
             # the last sweep and the node count the integrator evaluates
             last_sweep, nodes = {
@@ -115,6 +115,14 @@ class RunConfig:
                 raise ValueError(f"one-shot node_index must be < {nodes} {where}")
             if node == 0 and sweep >= 2:
                 raise ValueError(f"one-shot node 0 is evaluated only in sweep 1 {where}")
+            size = model.kernel_size(kernel)
+            if offset != "max_T" and offset >= size:
+                raise ValueError(f"one-shot offset {offset} is past the end of kernel {kernel}'s "
+                                 f"{size}-element array")
+
+    def model(self):
+        """The problem the run integrates: its rhs, kernels and initial state."""
+        return LinearProblem() if self.problem == "linear" else self.surrogate
 
     def resolved_dt(self):
         if self.dt is not None:
@@ -133,7 +141,8 @@ class RunConfig:
 
 @dataclass
 class RunReport:
-    """Outcome of one run: trajectory, diagnostics, and scalar metrics."""
+    """Outcome of one run: trajectory, diagnostics, scalar metrics, and
+    ``one_shot_fired``, read off ``events`` (None for a run without a one-shot)."""
 
     config: RunConfig
     status: str  # clean | capped | aborted
@@ -142,7 +151,10 @@ class RunReport:
     events: list
     metrics: dict
     error: Optional[str] = None
-    one_shot_fired: Optional[bool] = None
+
+    @property
+    def one_shot_fired(self):
+        return None if self.config.one_shot is None else bool(self.events)
 
 
 @dataclass
@@ -193,11 +205,6 @@ def _build_hook(cfg):
     return FaultInjector(cfg.fault, run_id=cfg.run_id)
 
 
-def _build_system(cfg, hook):
-    problem = LinearProblem() if cfg.problem == "linear" else cfg.surrogate
-    return problem, problem.system(hook), problem.initial_state()
-
-
 def run_single(cfg):
     """Execute one configured run and, when ``cfg.output_dir`` is set, write
     its artifacts there: ``events.jsonl``, ``residuals.csv``,
@@ -211,7 +218,8 @@ def run_single(cfg):
     ``aborted`` rather than raised, so campaign accounting stays simple.
     """
     hook = _build_hook(cfg)
-    problem, sys, phi0 = _build_system(cfg, hook)
+    problem = cfg.model()
+    sys, phi0 = problem.system(hook), problem.initial_state()
     dt = cfg.resolved_dt()
     t_end = cfg.resolved_t_end()
     rule = lobatto_rule(cfg.num_nodes)
@@ -234,10 +242,6 @@ def run_single(cfg):
     if status != "aborted" and any(trace.capped for trace in traces):
         status = "capped"
 
-    one_shot_fired = None
-    if isinstance(hook, OneShotPerturbation):
-        one_shot_fired = hook.warn_if_unfired()
-
     metrics = _collect_metrics(cfg, problem, trajectory, traces, hook, status, dt)
     if aborted is not None:
         metrics["steps"] = aborted.step_index
@@ -251,7 +255,6 @@ def run_single(cfg):
         events=hook.events,
         metrics=metrics,
         error=error,
-        one_shot_fired=one_shot_fired,
     )
     if cfg.output_dir is not None:
         _write_run_artifacts(report)
@@ -464,8 +467,7 @@ def sensitivity_sweep(cfg, kernels=None, *, step_index=None):
         step_index = cfg.step_count() // 3
 
     base_cfg = replace(cfg, one_shot=None, fault=replace(cfg.fault, mode="off"), output_dir=None)
-    spec = OneShotSpec(step_index=step_index, sweep_index=1, node_index=0, offset="max_T",
-                       mode="type_a", scale=cfg.fault.scale)
+    spec = OneShotSpec(step_index=step_index, offset="max_T", scale=cfg.fault.scale)
     kernel_cfgs = [
         replace(base_cfg, one_shot=replace(spec, kernel_id=kernel)) for kernel in kernels
     ]

@@ -9,7 +9,9 @@ an error; so are ``config`` and ``help``.
 Settings that neither gives take the library's defaults (``RunConfig``,
 ``FaultConfig``, ``OneShotSpec``), bar ``campaign``'s fault mode, which is
 ``type_b``.  The output directory falls back to the
-RESILIENT_SDC_OUTPUT_DIR environment variable, then ./runs.
+RESILIENT_SDC_OUTPUT_DIR environment variable, then ./runs.  ``inject``
+flips ``--bit`` or else multiplies by ``--scale`` (not both), and says so on
+stderr when its fault never fired.
 
 Exit codes: 0 clean completion, 2 configuration error (for ``converge``,
 also a ladder run that aborts), 3 unrecoverable integration failure, 4
@@ -44,8 +46,7 @@ _RUN_FIELDS = {"problem": "problem", "integrator": "integrator", "nodes": "num_n
                "sweeps": "sweeps", "dt": "dt", "t_end": "t_end", "run_id": "run_id"}
 _FAULT_FIELDS = {"fault_mode": "mode", "window": "window", "scale": "scale", "seed": "seed"}
 _ONE_SHOT_FIELDS = {"step": "step_index", "sweep": "sweep_index", "node": "node_index",
-                    "kernel": "kernel_id", "offset": "offset", "mode": "mode", "scale": "scale",
-                    "bit": "bit"}
+                    "kernel": "kernel_id", "offset": "offset", "scale": "scale", "bit": "bit"}
 
 
 def _comma_list(cast):
@@ -102,9 +103,8 @@ def build_parser():
     p_inject = sub.add_parser("inject", help="single run with one scheduled fault")
     add_run_options(p_inject)
     p_inject.add_argument("--run-id", type=int)
-    p_inject.add_argument("--mode", choices=["type_a", "type_b"])
-    p_inject.add_argument("--scale", type=float)
-    p_inject.add_argument("--bit", type=int)
+    p_inject.add_argument("--scale", type=float, help="type-A multiplier")
+    p_inject.add_argument("--bit", type=int, help="bit to flip (type B) instead of scaling")
     p_inject.add_argument("--step", type=int)
     p_inject.add_argument("--sweep", type=int)
     p_inject.add_argument("--node", type=int)
@@ -238,9 +238,15 @@ def _cmd_sense(args):
 def _cmd_inject(args):
     cfg = _run_config(args, output_dir=_output_dir(args))
     shot = _given(args, _ONE_SHOT_FIELDS)
+    if "bit" in shot and "scale" in shot:
+        raise ValueError(f"a one-shot bit flip takes no scale, got scale {shot['scale']!r}")
     if cfg.problem == "linear":
         shot.setdefault("kernel_id", LINEAR_KERNEL_ID)
-    report = run_single(replace(cfg, one_shot=OneShotSpec(**shot)))
+    spec = OneShotSpec(**shot)
+    report = run_single(replace(cfg, one_shot=spec))
+    if not report.one_shot_fired:
+        print(f"one-shot fault never fired: step {spec.step_index} sweep {spec.sweep_index} "
+              f"node {spec.node_index} kernel {spec.kernel_id}", file=_sys.stderr)
     _print_run_summary(report)
     return _RUN_STATUS_EXITS[report.status]
 

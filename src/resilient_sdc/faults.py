@@ -11,8 +11,11 @@ representation of one element (bit 63 is the sign, 62..52 the exponent,
 51..0 the mantissa).  The windowed injector fires exactly once per
 completed window of kernel calls at a uniformly drawn call index, with all
 randomness keyed by (seed, run, window) so that runs are exactly
-reproducible and windows are independent.  Hooks learn each node's state
-with its position (``begin_node``), which the one-shot's ``max_T`` reads.
+reproducible and windows are independent.  A one-shot fault has no mode:
+one with a ``bit`` flips it, one without multiplies by its ``scale``, as
+``corrupt`` does, and whether it fired is whether it logged an event.
+Hooks learn each node's state with its position (``begin_node``), which
+the one-shot's ``max_T`` reads.
 """
 
 from __future__ import annotations
@@ -194,10 +197,12 @@ class FaultInjector(KernelHook):
 
 @dataclass(frozen=True)
 class OneShotSpec:
-    """Schedule and corruption model for a single deterministic fault.
+    """Schedule and corruption of a single deterministic fault.
 
     ``offset`` is a non-negative array index, or the string ``"max_T"`` for
     the hottest ignition grid point of the state the hook's ``begin_node`` got.
+    A spec with a ``bit`` flips that bit (type B); one without multiplies by
+    ``scale`` (type A).
     """
 
     step_index: int = 0
@@ -205,7 +210,6 @@ class OneShotSpec:
     node_index: int = 0
     kernel_id: str = "assembly"
     offset: Union[int, str] = 0
-    mode: str = "type_a"
     scale: float = 1.0e4
     bit: Optional[int] = None
 
@@ -218,58 +222,30 @@ class OneShotSpec:
             raise ValueError(
                 f"one-shot offset must be a non-negative int or 'max_T', got {self.offset!r}"
             )
-        if self.mode not in ("type_a", "type_b"):
-            raise ValueError(f"one-shot mode must be type_a or type_b, got {self.mode!r}")
-        if self.mode == "type_b" and self.bit is None:
-            raise ValueError("type_b one-shot faults need a bit index")
         if self.bit is not None and not 0 <= self.bit <= 63:
             raise ValueError(f"one-shot bit must be in [0, 63], got {self.bit}")
 
 
 class OneShotPerturbation(KernelHook):
-    """Hook that corrupts exactly one kernel return at a scheduled position."""
+    """Hook that corrupts exactly one kernel return at a scheduled position;
+    it has fired once it holds its event.  The ``RunConfig`` holding the spec
+    checked that an integer offset fits the kernel's array."""
 
     def __init__(self, spec, run_id=0):
         super().__init__(run_id=run_id)
         self.spec = spec
-        self.fired = False
-
-    def _resolve_offset(self, kernel_id, array):
-        offset = self.spec.offset
-        if offset == "max_T":
-            return int(np.argmax(self.node_state[: self.node_state.size // 2]))
-        if offset >= array.size:
-            raise ValueError(
-                f"one-shot offset {offset} is past the end of kernel {kernel_id}'s "
-                f"{array.size}-element array"
-            )
-        return offset
 
     def filter(self, kernel_id, array):
         self.call_count += 1
         spec = self.spec
-        if (self.fired or kernel_id != spec.kernel_id
+        if (self.events or kernel_id != spec.kernel_id
                 or self.position() != (spec.step_index, spec.sweep_index, spec.node_index)):
             return
+        offset = spec.offset
+        if offset == "max_T":
+            offset = int(np.argmax(self.node_state[: self.node_state.size // 2]))
         self.events.append(corrupt(
-            array, self._resolve_offset(kernel_id, array), kernel_id,
-            bit=spec.bit if spec.mode == "type_b" else None, scale=spec.scale,
+            array, offset, kernel_id, bit=spec.bit, scale=spec.scale,
             call_index=self.call_count - 1, sim_time=self.sim_time, position=self.position(),
             run_id=self.run_id,
         ))
-        self.fired = True
-
-    def warn_if_unfired(self):
-        """Log when the schedule was never reached; returns True if it fired."""
-        if not self.fired:
-            # Imported here: only an unfired one-shot schedule ever logs.
-            import logging
-
-            logging.getLogger(__name__).warning(
-                "one-shot fault never fired: step %d sweep %d node %d kernel %s",
-                self.spec.step_index,
-                self.spec.sweep_index,
-                self.spec.node_index,
-                self.spec.kernel_id,
-            )
-        return self.fired

@@ -65,6 +65,11 @@ class LinearProblem:
     s: float = 1.0
     y0: float = 1.0
 
+    kernel_ids = (LINEAR_KERNEL_ID,)
+
+    def kernel_size(self, kernel_id):
+        return 1  # the one state element
+
     def system(self, hook=None):
         def rhs(y, t):
             out = self.s * np.asarray(y, dtype=float)
@@ -151,6 +156,16 @@ class IgnitionSurrogate:
     t_max: float = 2750.0
     y_min: float = -0.1
     y_max: float = 1.1
+
+    kernel_ids = KERNEL_IDS
+
+    def __post_init__(self):
+        if self.n_grid < 9:
+            raise ValueError(f"n_grid must be >= 9, the stencil's width, got {self.n_grid}")
+
+    def kernel_size(self, kernel_id):
+        """Length of ``kernel_id``'s array: ``assembly`` holds both fields."""
+        return 2 * self.n_grid if kernel_id == "assembly" else self.n_grid
 
     @property
     def dx(self):

@@ -135,7 +135,7 @@ def test_criterion_3_perturbed_sweep_damping():
             # one wrong rhs evaluation: y' = s*y at sweep 3, node 2
             hook = OneShotPerturbation(OneShotSpec(
                 step_index=0, sweep_index=3, node_index=2, kernel_id=LINEAR_KERNEL_ID,
-                offset=0, mode="type_a", scale=s,
+                offset=0, scale=s,
             ))
             perturbed = iterates(hook)
             assert len(hook.events) == 1
@@ -176,7 +176,6 @@ def test_criterion_4_residual_spike_and_extra_sweeps():
             node_index=2,
             kernel_id="reaction_rate",
             offset=85,
-            mode="type_a",
             scale=1.0e4,
         )
         fixed_clean = run_single(_ignition_cfg(integrator="sdc_fixed", t_end=t_end))
@@ -356,7 +355,6 @@ def test_criterion_9_checkpoint_restart_recovers_exactly(fault_free_resilient):
             node_index=1,
             kernel_id="gradient_T",
             offset="max_T",
-            mode="type_b",
             bit=61,
         )
         report = run_single(_ignition_cfg(one_shot=spec))

@@ -233,6 +233,26 @@ def test_campaign_rejects_a_negative_base_seed_before_any_run(monkeypatch, worke
     assert runs == []
 
 
+def test_an_offset_past_the_kernel_array_is_a_config_error_before_any_run(monkeypatch):
+    """The problem gives each kernel's array length: ``assembly`` holds both
+    ignition fields, every other ignition kernel one, the linear
+    ``derivative`` one element.  An integer offset past it fails when the
+    config is built."""
+    runs = []
+    monkeypatch.setattr(campaign_module, "run_single", runs.append)
+    message = "one-shot offset 500 is past the end of kernel reaction_rate's 120-element array"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_campaign(RunConfig(integrator="sdc_fixed", t_end=2e-4, one_shot=OneShotSpec(
+            step_index=1, kernel_id="reaction_rate", offset=500)), 3, 0)
+    assert runs == []
+    for problem, kernel, size in (("ignition", "assembly", 240), ("ignition", "gradient_T", 120),
+                                  ("linear", LINEAR_KERNEL_ID, 1)):
+        RunConfig(problem=problem, one_shot=OneShotSpec(kernel_id=kernel, offset=size - 1))
+        message = f"one-shot offset {size} is past the end of kernel {kernel}'s {size}-element array"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RunConfig(problem=problem, one_shot=OneShotSpec(kernel_id=kernel, offset=size))
+
+
 # ---------------------------------------------------------------------------
 # single runs
 
@@ -242,6 +262,18 @@ def test_linear_fixed_run_reports_error_metrics():
     report = run_single(cfg)
     assert report.status == "clean"
     assert report.metrics["abs_error"] < 2e-6
+
+
+def test_one_shot_fired_is_read_off_the_events():
+    """None without a one-shot; with one, whether it logged its event."""
+    cfg = RunConfig(integrator="sdc_fixed", t_end=2e-4)
+    assert run_single(cfg).one_shot_fired is None
+    fired = run_single(replace(cfg, one_shot=OneShotSpec(step_index=1, kernel_id="reaction_rate")))
+    assert fired.one_shot_fired is True and len(fired.events) == 1
+    # step 400 converges before the controller's sweep 8
+    unfired = run_single(RunConfig(t_end=3.1e-3, one_shot=OneShotSpec(
+        step_index=400, sweep_index=8, node_index=1, kernel_id="reaction_rate")))
+    assert unfired.one_shot_fired is False and unfired.events == []
 
 
 def test_same_config_reruns_bitwise_identically():

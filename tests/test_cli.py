@@ -27,8 +27,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 CRASH_FAULT_FLAGS = [
     "--step", "2", "--sweep", "1", "--node", "0",
-    "--kernel", "assembly", "--offset", "0",
-    "--mode", "type_a", "--scale", "1e308",
+    "--kernel", "assembly", "--offset", "0", "--scale", "1e308",
 ]
 
 
@@ -81,15 +80,16 @@ def test_converge_ladder_abort_writes_one_config_error_line(tmp_path):
     [["converge", "--problem", "ignition"], ["ignite", "--streams", "2"],
      ["campaign", "--streams", "2"], ["ignite", "--output-every", "2"],
      ["campaign", "--seed", "1"], ["inject", "--seed", "1"], ["sense", "--seed", "1"],
-     ["campaign", "--run-id", "1"], ["sense", "--run-id", "1"]],
+     ["campaign", "--run-id", "1"], ["sense", "--run-id", "1"], ["inject", "--mode", "type_a"]],
 )
 def test_removed_options_are_usage_errors(argv, capsys):
     """``converge`` studies only the linear problem, the injector has one
     fault stream and ``trajectory.csv`` keeps every step, so these options
     are rejected before anything runs.  So are settings that cannot change
     a run: ``--base-seed`` sets a campaign's seed and the member index its
-    run ids, ``inject`` and ``sense`` draw nothing at random, and ``sense``
-    writes no run id."""
+    run ids, ``inject`` and ``sense`` draw nothing at random, ``sense``
+    writes no run id, and an ``inject`` fault's ``--bit`` already says
+    whether it flips or scales."""
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == EXIT_CONFIG
@@ -279,7 +279,7 @@ def test_rules_past_eight_nodes_are_config_errors(tmp_path, capsys, monkeypatch,
         (["converge", "--t-end", "inf"], "t_end must be finite, got inf"),
         (["campaign", "--workers", "0", "--runs", "2"], "workers must be >= 1, got 0"),
         (["campaign", "--workers", "-3", "--runs", "2"], "workers must be >= 1, got -3"),
-        (["inject", "--integrator", "rk", "--mode", "type_b", "--bit", "70", "--step", "30",
+        (["inject", "--integrator", "rk", "--bit", "70", "--step", "30",
           "--kernel", "assembly", "--t-end", "5e-4"], "one-shot bit must be in [0, 63], got 70"),
         (["ignite", "--fault-mode", "type_b", "--t-end", "2e-4", "--seed", "-1"],
          "seed must be >= 0, got -1"),
@@ -293,6 +293,8 @@ def test_rules_past_eight_nodes_are_config_errors(tmp_path, capsys, monkeypatch,
         (["converge", "--sweeps", ","], "need at least one sweep count"),
         (["sense", "--kernels", ",", "--t-end", "1.6e-4", "--step", "1"],
          "need at least one kernel"),
+        (["inject", "--t-end", "2e-4", "--bit", "5", "--scale", "2"],
+         "a one-shot bit flip takes no scale, got scale 2.0"),
     ],
 )
 def test_settings_rejected_before_any_run_are_config_errors(tmp_path, capsys, monkeypatch, argv,
@@ -354,10 +356,6 @@ def test_invalid_run_options_exit_config_error(capsys):
                "--nodes", "1", "--t-end", "0.3"])
     assert rc == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
-
-    rc = main(["inject", "--problem", "linear", "--integrator", "sdc_fixed",
-               "--t-end", "0.3", "--mode", "type_b"])
-    assert rc == EXIT_CONFIG
 
 
 def test_environment_variable_sets_output_dir(tmp_path, capsys, monkeypatch):
@@ -429,6 +427,34 @@ def test_inject_offset_past_the_kernel_array_is_a_config_error(tmp_path, capsys)
     assert "config error" in err
     assert "100000" in err and "gradient_T's 120-element array" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_inject_bit_flips_that_bit(tmp_path, capsys):
+    """A ``--bit`` alone flips it: the event log holds the bytes it held when
+    ``--mode type_b`` had to be given too."""
+    rc = main(["--output-dir", str(tmp_path), "inject", "--integrator", "sdc_fixed",
+               "--t-end", "2e-4", "--step", "1", "--kernel", "reaction_rate", "--bit", "63"])
+    assert rc == EXIT_OK
+    assert (tmp_path / "events.jsonl").read_text() == (
+        '{"array_offset": 0, "bit_index": 63, "call_index": 58, "kernel_id": "reaction_rate", '
+        '"new_bits": "bccd6e894ac2758f", "new_value": -8.168960621868598e-16, "node_index": 0, '
+        '"old_bits": "3ccd6e894ac2758f", "old_value": 8.168960621868598e-16, "run_id": 0, '
+        '"scale": null, "sim_time": 7.729006114445732e-06, "step_index": 1, "sweep_index": 1}\n'
+    )
+
+
+def test_inject_says_when_its_fault_never_fired(tmp_path, capsys):
+    """A resilient step that converges before sweep 8 never evaluates the
+    scheduled position: the run completes, and one stderr line says so."""
+    rc = main(["--output-dir", str(tmp_path), "inject", "--integrator", "sdc_resilient",
+               "--step", "400", "--sweep", "8", "--node", "1", "--kernel", "reaction_rate",
+               "--t-end", "3.1e-3"])
+    out, err = capsys.readouterr()
+    assert rc == EXIT_CAPPED
+    assert err == "one-shot fault never fired: step 400 sweep 8 node 1 kernel reaction_rate\n"
+    assert "faults: 0" in out
+    assert (tmp_path / "events.jsonl").read_text() == (
+        '{"warning": "one-shot schedule never reached"}\n')
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -83,10 +83,9 @@ def test_fault_config_validation():
 
 
 def test_one_shot_spec_validation():
-    with pytest.raises(ValueError):
-        OneShotSpec(mode="type_b")  # needs a bit index
-    with pytest.raises(ValueError):
-        OneShotSpec(mode="off")
+    # a spec says what it does by what it carries: a bit flips, else scale multiplies
+    assert [f.name for f in fields(OneShotSpec)] == [
+        "step_index", "sweep_index", "node_index", "kernel_id", "offset", "scale", "bit"]
     for offset in (-1, 2.0, "hottest", None):
         with pytest.raises(ValueError, match="non-negative int or 'max_T'"):
             OneShotSpec(offset=offset)
@@ -96,13 +95,11 @@ def test_one_shot_spec_validation():
             OneShotSpec(**{field: value})
     # a bit outside the binary64 word fails when the spec is built, not when it fires
     for bit in (64, -1):
-        for mode in ("type_a", "type_b"):
-            message = rf"^one-shot bit must be in \[0, 63\], got {bit}$"
-            with pytest.raises(ValueError, match=message):
-                OneShotSpec(mode=mode, bit=bit)
-    OneShotSpec(mode="type_b", bit=17)
-    OneShotSpec(mode="type_b", bit=0)
-    OneShotSpec(mode="type_b", bit=63)
+        with pytest.raises(ValueError, match=rf"^one-shot bit must be in \[0, 63\], got {bit}$"):
+            OneShotSpec(bit=bit)
+    OneShotSpec(bit=17)
+    OneShotSpec(bit=0)
+    OneShotSpec(bit=63)
     OneShotSpec(offset="max_T")
 
 
@@ -319,13 +316,13 @@ def test_one_shot_fires_exactly_once_at_position():
 
     _position_hook(hook, 0, 1, 0)
     hook.filter("assembly", array)
-    assert not hook.fired
+    assert hook.events == []
 
     _position_hook(hook, 2, 3, 1)
     hook.filter("gradient_T", array)  # wrong kernel
-    assert not hook.fired
+    assert hook.events == []
     hook.filter("assembly", array)
-    assert hook.fired
+    assert len(hook.events) == 1
     assert array[1] == 20.0
 
     hook.filter("assembly", array)  # same position again: stays fired once
@@ -351,26 +348,16 @@ def test_one_shot_max_t_offset_targets_the_hottest_point():
 
 
 def test_one_shot_bit_mode_uses_bit_flip():
+    """A spec with a bit flips it, leaving its (default) scale unused."""
     spec = OneShotSpec(
-        step_index=0, sweep_index=1, node_index=0, kernel_id="assembly",
-        offset=0, mode="type_b", bit=63,
+        step_index=0, sweep_index=1, node_index=0, kernel_id="assembly", offset=0, bit=63,
     )
     hook = OneShotPerturbation(spec)
     _position_hook(hook, 0, 1, 0)
     array = np.array([4.0])
     hook.filter("assembly", array)
     assert array[0] == -4.0
-    assert hook.events[0].bit_index == 63
-
-
-def test_unfired_one_shot_logs_a_warning(caplog):
-    spec = OneShotSpec(step_index=99, kernel_id="assembly")
-    hook = OneShotPerturbation(spec)
-    hook.filter("assembly", np.ones(2))
-    with caplog.at_level("WARNING", logger="resilient_sdc.faults"):
-        fired = hook.warn_if_unfired()
-    assert fired is False
-    assert any("never fired" in rec.message for rec in caplog.records)
+    assert (hook.events[0].bit_index, hook.events[0].scale) == (63, None)
 
 
 # ---------------------------------------------------------------------------

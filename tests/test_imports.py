@@ -8,7 +8,8 @@ Each of those checks runs in a new interpreter, so ``sys.modules`` starts
 clean.  The last checks read the source: no module imports a name it never
 uses, only ``campaign`` opens a file for writing, no package module
 imports another's underscore name, only ``campaign.run_single`` calls an
-integrator, and only ``sdc.march`` sets numpy's floating-point error state.
+integrator, only ``sdc.march`` sets numpy's floating-point error state, and
+no package module imports ``warnings`` or ``logging``.
 """
 
 import ast
@@ -268,15 +269,19 @@ def test_only_run_single_calls_an_integrator():
 
 # The one owner of numpy's floating-point error state: every integration
 # runs its steps under the policy ``march`` sets, so no kernel, sweep or
-# caller in the package sets its own or filters warnings.
+# caller in the package sets its own or filters warnings.  Nor does the
+# package log: a run reports through its RunReport, the CLI through its
+# output and exit code.
 FLOAT_POLICY_OWNER = ("sdc.py", "march")
 ERROR_STATE_NAMES = ("errstate", "seterr")
+SILENT_MODULES = ("warnings", "logging")
 
 
 def float_policy_faults(path):
     """``file:line: fault`` for each use of ``errstate`` or ``seterr``
-    outside ``sdc.march``, and each import of ``warnings``, in line order;
-    the owner named is the module-level function or class the use sits in."""
+    outside ``sdc.march``, and each import of ``warnings`` or ``logging``,
+    in line order; the owner named is the module-level function or class
+    the use sits in."""
     with open(path) as fh:
         tree = ast.parse(fh.read(), filename=path)
     where = os.path.relpath(path, ROOT)
@@ -290,8 +295,8 @@ def float_policy_faults(path):
                 found.append((node.lineno, f"uses {name} in {owner or 'the module'}"))
             modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
                        else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
-            if any(module.split(".")[0] == "warnings" for module in modules):
-                found.append((node.lineno, "imports warnings"))
+            found += [(node.lineno, f"imports {module}") for module in SILENT_MODULES
+                      if any(name.split(".")[0] == module for name in modules)]
     return [f"{where}:{line}: {fault}" for line, fault in sorted(found)]
 
 
@@ -333,10 +338,32 @@ def test_float_policy_faults_helper_names_each_fault(tmp_path):
     assert float_policy_faults(str(owner)) == [f"{elsewhere}:5: uses seterr in the module"]
 
 
+def test_float_policy_faults_helper_names_each_logging_import(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import logging\n"
+        "import logging.handlers, warnings\n"
+        "from logging import getLogger\n"
+        "def warn_once():\n"
+        "    import logging\n"
+        "    logging.getLogger(__name__).warning('once')\n"
+        "import loggingtools\n"
+    )
+    where = os.path.relpath(str(module), ROOT)
+    assert float_policy_faults(str(module)) == [
+        f"{where}:1: imports logging",
+        f"{where}:2: imports logging",
+        f"{where}:2: imports warnings",
+        f"{where}:3: imports logging",
+        f"{where}:5: imports logging",
+    ]
+
+
 def test_only_march_sets_the_floating_point_policy():
     folder = os.path.join(SRC, "resilient_sdc")
     paths = [os.path.join(folder, name) for name in sorted(os.listdir(folder))
              if name.endswith(".py")]
     assert len(paths) > 8
     found = [entry for path in paths for entry in float_policy_faults(path)]
-    assert found == [], "floating-point policy outside sdc.march:\n" + "\n".join(found)
+    assert found == [], ("floating-point policy outside sdc.march, or a warnings or logging "
+                         "import:\n" + "\n".join(found))

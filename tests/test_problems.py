@@ -73,14 +73,14 @@ def test_one_shot_fault_on_the_derivative_kernel_matches_a_rate_override_bitwise
     for scale in (0.5, 1.5, 10.0, 100.0):
         hook = OneShotPerturbation(OneShotSpec(
             step_index=0, sweep_index=3, node_index=2, kernel_id=LINEAR_KERNEL_ID,
-            offset=0, mode="type_a", scale=scale,
+            offset=0, scale=scale,
         ))
         faulted = _node_iterates(LinearProblem().system(hook))
         reference = _node_iterates(_rate_override_system(scale, 3, 2))
         assert len(faulted) == 41
         for got, want in zip(faulted, reference):
             assert got.tobytes() == want.tobytes()
-        assert hook.fired and len(hook.events) == 1
+        assert len(hook.events) == 1
         event = hook.events[0]
         assert (event.kernel_id, event.step_index, event.sweep_index, event.node_index) == (
             LINEAR_KERNEL_ID, 0, 3, 2)
@@ -355,6 +355,31 @@ def test_kernels_run_once_per_evaluation_in_declared_order():
     cfg = IgnitionSurrogate()
     surrogate_rhs(cfg.initial_state(), 0.0, cfg, hook=Recorder())
     assert tuple(calls) == KERNEL_IDS
+
+
+def test_kernel_sizes_are_the_lengths_of_the_arrays_the_kernels_return():
+    """The lengths a ``RunConfig`` checks one-shot offsets against."""
+    sizes = {}
+
+    class Recorder(KernelHook):
+        def filter(self, kernel_id, array):
+            sizes[kernel_id] = array.size
+
+    for problem in (IgnitionSurrogate(n_grid=16), LinearProblem()):
+        sizes.clear()
+        problem.system(Recorder()).rhs(problem.initial_state(), 0.0)
+        assert sizes == {kernel: problem.kernel_size(kernel) for kernel in problem.kernel_ids}
+
+
+def test_the_grid_must_hold_the_stencil():
+    """A grid narrower than the nine-point stencil fails when the surrogate is
+    built, so no ``RunConfig`` holds one, rather than in its first rhs."""
+    for n_grid in (6, 8):
+        with pytest.raises(ValueError,
+                           match=rf"^n_grid must be >= 9, the stencil's width, got {n_grid}$"):
+            RunConfig(surrogate=IgnitionSurrogate(n_grid=n_grid), t_end=1e-6)
+    cfg = IgnitionSurrogate(n_grid=9)
+    assert surrogate_rhs(cfg.initial_state(), 0.0, cfg, KernelHook()).shape == (18,)
 
 
 def test_conserved_total_under_fault_free_integration():
