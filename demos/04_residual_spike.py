@@ -7,7 +7,7 @@
 # controller just costs a couple of extra sweeps on that one step.
 
 from resilient_sdc.campaign import RunConfig, run_single
-from resilient_sdc.faults import OneShotSpec
+from resilient_sdc.faults import FaultConfig, OneShotSpec
 
 FAULT_STEP = 65
 fault = OneShotSpec(
@@ -21,15 +21,13 @@ fault = OneShotSpec(
 t_end = 67 * RunConfig(problem="ignition").surrogate.default_dt()
 
 
-def run(integrator, one_shot):
-    cfg = RunConfig(
-        problem="ignition", integrator=integrator, t_end=t_end, one_shot=one_shot
-    )
+def run(integrator, source=FaultConfig()):
+    cfg = RunConfig(problem="ignition", integrator=integrator, t_end=t_end, fault=source)
     return run_single(cfg)
 
 
 # Fixed 4-sweep integrator: the fault slips through as a residual spike.
-clean = run("sdc_fixed", None)
+clean = run("sdc_fixed")
 faulted = run("sdc_fixed", fault)
 print("fixed 4-sweep integrator, residual max-norm at each sweep of step 65:")
 print(f"  fault-free: {['%.3e' % r for r in clean.traces[FAULT_STEP].residual_maxnorms]}")
@@ -42,7 +40,7 @@ print(f"  final-sweep spike: {spike:.2e}x the fault-free value")
 
 # Adaptive controller: the residual stall test refuses to accept the step
 # until the corruption is swept away.
-clean = run("sdc_resilient", None)
+clean = run("sdc_resilient")
 faulted = run("sdc_resilient", fault)
 print()
 print("adaptive controller on the same fault:")

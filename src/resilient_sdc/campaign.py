@@ -1,10 +1,11 @@
 """Experiment drivers: single runs, Monte Carlo fault campaigns, kernel
 sensitivity sweeps, and timestep convergence studies.
 
-This module writes every artifact file the package makes: CSV in the excel
-dialect with ``repr`` floats (``_write_csv``), JSON indented by two spaces
-(``_write_json``) and JSON lines (``_write_jsonl``, the event log of
-``FaultEvent.to_record()`` records).  Other modules do no file output.
+The type of a run's one fault source, ``RunConfig.fault``, picks its
+kernel hook.  This module writes every artifact file the package makes: CSV
+in the excel dialect with ``repr`` floats (``_write_csv``), JSON indented by
+two spaces (``_write_json``) and JSON lines (``_write_jsonl``, the event log
+of ``FaultEvent.to_record()`` records).  Other modules do no file output.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace, asdict
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -35,10 +36,12 @@ __all__ = [
     "sensitivity_sweep",
     "convergence_study",
     "DEFAULT_IGNITION_T_END",
+    "PROBLEMS",
+    "INTEGRATORS",
 ]
 
-_PROBLEMS = ("linear", "ignition")
-_INTEGRATORS = ("rk", "sdc_fixed", "sdc_resilient")
+PROBLEMS = ("linear", "ignition")
+INTEGRATORS = ("rk", "sdc_fixed", "sdc_resilient")
 
 # End time for default ignition runs: past the baseline runaway onset but on
 # the still-steep part of the temperature history, where corrupted runs
@@ -51,12 +54,13 @@ DEFAULT_IGNITION_T_END = 9.0e-3
 class RunConfig:
     """Everything needed to reproduce one integration run, which starts at t = 0.
 
-    A config checks itself when it is built, as the configs it holds do, so
-    one that exists is valid and ``dataclasses.replace`` re-checks every
-    derived config.  The time grid is checked by ``step_count``, that is by
-    ``sdc.step_times``; a one-shot fault must name a kernel of the problem,
-    an offset inside that kernel's array and a (step, sweep, node) the
-    integrator evaluates.
+    ``fault``, the run's one fault source, is a windowed ``FaultConfig``
+    (mode ``off`` by default) or a ``OneShotSpec``.  A config checks itself
+    when built, as the configs it holds do, so one that exists is valid and
+    ``dataclasses.replace`` re-checks every derived config.  The time grid
+    is checked by ``step_count``, that is by ``sdc.step_times``; a one-shot
+    fault must name a kernel of the problem, an offset inside that kernel's
+    array and a (step, sweep, node) the integrator evaluates.
     """
 
     problem: str = "ignition"
@@ -66,28 +70,27 @@ class RunConfig:
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     dt: Optional[float] = None
     t_end: Optional[float] = None
-    fault: FaultConfig = field(default_factory=FaultConfig)
-    one_shot: Optional[OneShotSpec] = None
+    fault: Union[FaultConfig, OneShotSpec] = field(default_factory=FaultConfig)
     surrogate: IgnitionSurrogate = field(default_factory=IgnitionSurrogate)
     run_id: int = 0
     output_dir: Optional[str] = None
 
     def __post_init__(self):
-        if self.problem not in _PROBLEMS:
-            raise ValueError(f"problem must be one of {_PROBLEMS}, got {self.problem!r}")
-        if self.integrator not in _INTEGRATORS:
+        if self.problem not in PROBLEMS:
+            raise ValueError(f"problem must be one of {PROBLEMS}, got {self.problem!r}")
+        if self.integrator not in INTEGRATORS:
             raise ValueError(
-                f"integrator must be one of {_INTEGRATORS}, got {self.integrator!r}"
+                f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}"
             )
         lobatto_rule(self.num_nodes)  # raises for a node count without an exact rule
         fixed_sweeps(self.sweeps)  # raises for a sweep count below 1
         if self.run_id < 0:
             raise ValueError(f"run_id must be >= 0, got {self.run_id}")
         steps = self.step_count()  # raises for a dt or t_end step_times refuses
-        if self.one_shot is not None:
-            if self.fault.mode != "off":
-                raise ValueError(f"a one-shot needs fault mode 'off', got {self.fault.mode!r}")
-            offset, kernel = self.one_shot.offset, self.one_shot.kernel_id
+        if not isinstance(self.fault, (FaultConfig, OneShotSpec)):
+            raise ValueError(f"fault must be a FaultConfig or a OneShotSpec, got {self.fault!r}")
+        if isinstance(self.fault, OneShotSpec):
+            offset, kernel = self.fault.offset, self.fault.kernel_id
             if offset == "max_T" and self.problem == "linear":
                 raise ValueError("one-shot offset max_T names the hottest ignition grid point; "
                                  "the linear problem has none")
@@ -103,11 +106,10 @@ class RunConfig:
                 "sdc_fixed": (self.sweeps, self.num_nodes),
                 "sdc_resilient": (self.controller.max_sweeps, self.num_nodes),
             }[self.integrator]
-            step = self.one_shot.step_index
+            step, sweep, node = self.fault.step_index, self.fault.sweep_index, self.fault.node_index
             if step >= steps:
                 raise ValueError(f"one-shot step_index must be < {steps} for a {steps}-step run, "
                                  f"got {step}")
-            sweep, node = self.one_shot.sweep_index, self.one_shot.node_index
             where = f"for {self.integrator}, got sweep_index {sweep}, node_index {node}"
             if sweep > last_sweep:
                 raise ValueError(f"one-shot sweep_index must be <= {last_sweep} {where}")
@@ -154,7 +156,7 @@ class RunReport:
 
     @property
     def one_shot_fired(self):
-        return None if self.config.one_shot is None else bool(self.events)
+        return bool(self.events) if isinstance(self.config.fault, OneShotSpec) else None
 
 
 @dataclass
@@ -197,8 +199,8 @@ def summarize(values, *, runs=None, crash_count=0, restart_count=0):
 
 
 def _build_hook(cfg):
-    if cfg.one_shot is not None:
-        return OneShotPerturbation(cfg.one_shot, run_id=cfg.run_id)
+    if isinstance(cfg.fault, OneShotSpec):
+        return OneShotPerturbation(cfg.fault, run_id=cfg.run_id)
     if cfg.fault.mode == "off":
         # A disarmed injector only counts kernel calls, as the base hook does.
         return KernelHook(run_id=cfg.run_id)
@@ -377,11 +379,11 @@ def _campaign_worker(cfg):
 def run_campaign(cfg, n_runs, base_seed, *, workers=1):
     """Monte Carlo campaign of independent runs with derived seeds.
 
-    Run ``i`` is ``cfg`` with run id ``i`` and fault seed ``base_seed``, so
-    it uses the injection stream keyed by (base_seed, i), and the campaign
-    is reproducible bit for bit regardless of worker count.  Every member's
-    config is built before the first run, so a bad ``base_seed`` runs
-    nothing.  Statistics cover completed (non-aborted) runs; aborts are
+    Run ``i`` is ``cfg`` with run id ``i``.  A windowed fault takes seed
+    ``base_seed`` too, so run ``i`` draws the injection stream keyed by
+    (base_seed, i), bit for bit the same for any worker count, and a bad
+    ``base_seed`` fails before any run; a ``OneShotSpec`` repeats in every
+    member.  Statistics cover completed (non-aborted) runs; aborts are
     tallied in ``crash_count``.  ``workers`` processes run the members; 1
     runs them in this process.
     """
@@ -389,7 +391,7 @@ def run_campaign(cfg, n_runs, base_seed, *, workers=1):
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    fault = replace(cfg.fault, seed=base_seed)
+    fault = replace(cfg.fault, seed=base_seed) if isinstance(cfg.fault, FaultConfig) else cfg.fault
     members = [replace(cfg, run_id=i, fault=fault, output_dir=None) for i in range(n_runs)]
     if workers > 1:
         # Imported here: concurrent.futures pulls in multiprocessing, which a
@@ -445,18 +447,19 @@ def _write_campaign_artifacts(cfg, base_seed, rows, summary):
     _write_csv(os.path.join(out, "histogram.csv"), "bin_left,bin_right,count", histogram_rows)
 
 
-def sensitivity_sweep(cfg, kernels=None, *, step_index=None):
+def sensitivity_sweep(cfg, kernels=None, *, step_index=None, scale=OneShotSpec.scale):
     """Per-kernel one-shot amplification study against a fault-free baseline.
 
-    Each requested kernel gets one run with a single type-A fault (the
-    configured scale, default 1e4) applied to that kernel's return array at
-    the hottest gridpoint, during the first rhs evaluation of the chosen
-    step (default: a third of the way through the run).  Returns one row
-    per kernel with the final-peak deviation, and writes the rows to
-    ``sensitivity.csv`` in ``cfg.output_dir`` when it is set; the runs
-    themselves write nothing.  Every kernel's run config is built, and so
-    checked, before the baseline runs, so an empty kernel list, an unknown
-    kernel id or a step the run never reaches fails at once.
+    The baseline runs ``cfg`` with ``FaultConfig()``; each requested kernel
+    gets one run with a single type-A ``OneShotSpec`` of multiplier ``scale``
+    applied to that kernel's return array at the hottest gridpoint, during
+    the first rhs evaluation of the chosen step (default: a third of the
+    way through the run).  Returns one row per kernel with the final-peak
+    deviation, and writes the rows to ``sensitivity.csv`` in
+    ``cfg.output_dir`` when it is set; the runs themselves write nothing.
+    Every kernel's run config is built, and so checked, before the baseline
+    runs, so an empty kernel list, an unknown kernel id or a step the run
+    never reaches fails at once.
     """
     if cfg.problem != "ignition":
         raise ValueError("sensitivity_sweep is defined for the ignition surrogate")
@@ -466,11 +469,9 @@ def sensitivity_sweep(cfg, kernels=None, *, step_index=None):
     if step_index is None:
         step_index = cfg.step_count() // 3
 
-    base_cfg = replace(cfg, one_shot=None, fault=replace(cfg.fault, mode="off"), output_dir=None)
-    spec = OneShotSpec(step_index=step_index, offset="max_T", scale=cfg.fault.scale)
-    kernel_cfgs = [
-        replace(base_cfg, one_shot=replace(spec, kernel_id=kernel)) for kernel in kernels
-    ]
+    base_cfg = replace(cfg, fault=FaultConfig(), output_dir=None)
+    spec = OneShotSpec(step_index=step_index, offset="max_T", scale=scale)
+    kernel_cfgs = [replace(base_cfg, fault=replace(spec, kernel_id=kernel)) for kernel in kernels]
     baseline = run_single(base_cfg)
     base_peak = baseline.metrics["final_peak_T"]
 
@@ -502,7 +503,7 @@ def convergence_study(problem, dt_list, node_counts, sweep_counts, *, t_end=1.0)
     read once.  Every run's config is built, and so checked, before the
     first run, so an empty or bad node or sweep count, a bad timestep or a
     bad ``t_end`` (not finite, or shorter than the largest timestep) runs
-    nothing.  A run that aborts raises ValueError with its error.
+    nothing.  A run that aborts or whose error is 0.0 raises ValueError.
     """
     if problem != "linear":
         raise ValueError(f"convergence_study supports only the linear problem, got {problem!r}")
@@ -535,9 +536,11 @@ def convergence_study(problem, dt_list, node_counts, sweep_counts, *, t_end=1.0)
         errors = []
         for cfg in ladder:
             report = run_single(cfg)
+            where = f"{cfg.num_nodes} nodes, {cfg.sweeps} sweeps, dt {cfg.dt!r}"
             if report.status == "aborted":
-                raise ValueError(f"{cfg.num_nodes} nodes, {cfg.sweeps} sweeps, dt {cfg.dt!r}: "
-                                 f"{report.error}")
+                raise ValueError(f"{where}: {report.error}")
+            if report.metrics["abs_error"] == 0.0:
+                raise ValueError(f"{where}: the error is exactly 0.0, so no order can be fit")
             errors.append(report.metrics["abs_error"])
         slope = np.polyfit(np.log(dts), np.log(errors), 1)[0]
         rows.append(

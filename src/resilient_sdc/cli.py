@@ -8,15 +8,16 @@ key that names no flag of the command, nor the program's ``output_dir``, is
 an error; so are ``config`` and ``help``.
 Settings that neither gives take the library's defaults (``RunConfig``,
 ``FaultConfig``, ``OneShotSpec``), bar ``campaign``'s fault mode, which is
-``type_b``.  The output directory falls back to the
-RESILIENT_SDC_OUTPUT_DIR environment variable, then ./runs.  ``inject``
-flips ``--bit`` or else multiplies by ``--scale`` (not both), and says so on
-stderr when its fault never fired.
+``type_b``.  The output directory falls back to the RESILIENT_SDC_OUTPUT_DIR
+environment variable, then ./runs.  A run's one fault source is the windowed
+``FaultConfig`` of ``ignite`` and ``campaign`` or the ``OneShotSpec`` of
+``inject``, which flips ``--bit`` or else multiplies by ``--scale`` (not
+both) and says so on stderr when its fault never fired.
 
 Exit codes: 0 clean completion, 2 configuration error (for ``converge``,
-also a ladder run that aborts), 3 unrecoverable integration failure, 4
-completed with some steps capped (status ``capped``): a capped step
-reached ``max_sweeps`` without meeting the residual test.
+also a ladder run that aborts or has error 0.0), 3 unrecoverable
+integration failure, 4 completed with some steps capped (status
+``capped``: ``max_sweeps`` reached without meeting the residual test).
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ import json
 import math
 import os
 import sys as _sys
-from dataclasses import replace
 
-from .campaign import RunConfig, convergence_study, run_campaign, run_single, sensitivity_sweep
-from .faults import FaultConfig, OneShotSpec
+from .campaign import (INTEGRATORS, PROBLEMS, RunConfig, convergence_study, run_campaign,
+                       run_single, sensitivity_sweep)
+from .faults import FAULT_MODES, FaultConfig, OneShotSpec
 from .problems import LINEAR_KERNEL_ID
 
 EXIT_OK = 0
@@ -38,8 +39,6 @@ EXIT_UNRECOVERABLE = 3
 EXIT_CAPPED = 4
 
 _RUN_STATUS_EXITS = {"clean": EXIT_OK, "capped": EXIT_CAPPED, "aborted": EXIT_UNRECOVERABLE}
-
-_ENV_OUTPUT_DIR = "RESILIENT_SDC_OUTPUT_DIR"
 
 # flag name -> field of the dataclass the setting configures
 _RUN_FIELDS = {"problem": "problem", "integrator": "integrator", "nodes": "num_nodes",
@@ -74,12 +73,18 @@ def build_parser():
 
     def add_run_options(p, *, problem_choice=True):
         if problem_choice:
-            p.add_argument("--problem", choices=["linear", "ignition"])
-        p.add_argument("--integrator", choices=["rk", "sdc_fixed", "sdc_resilient"])
+            p.add_argument("--problem", choices=PROBLEMS)
+        p.add_argument("--integrator", choices=INTEGRATORS)
         p.add_argument("--nodes", type=int, help="number of collocation nodes")
         p.add_argument("--sweeps", type=int, help="fixed sweep count (predictor included)")
         p.add_argument("--dt", type=float)
         p.add_argument("--t-end", type=float)
+
+    def add_fault_options(p, *, mode_default=None):
+        """The windowed ``FaultConfig`` flags; each parser gets its own actions."""
+        p.add_argument("--fault-mode", choices=FAULT_MODES, default=mode_default)
+        p.add_argument("--window", type=int, help="kernel calls per injection window")
+        p.add_argument("--scale", type=float, help="type-A multiplier of the windowed faults")
 
     p_converge = sub.add_parser(
         "converge", help="observed-order study of the linear problem over a dt ladder"
@@ -96,14 +101,14 @@ def build_parser():
     p_sense = sub.add_parser("sense", help="per-kernel one-shot sensitivity sweep")
     add_run_options(p_sense, problem_choice=False)
     p_sense.add_argument("--step", type=int, help="step index receiving the fault")
-    p_sense.add_argument("--scale", type=float, help="type-A multiplier")
+    p_sense.add_argument("--scale", type=float, help="type-A multiplier of each one-shot fault")
     p_sense.add_argument("--kernels", type=_comma_list(str), help="comma list of kernel ids")
     p_sense.set_defaults(func=_cmd_sense)
 
     p_inject = sub.add_parser("inject", help="single run with one scheduled fault")
     add_run_options(p_inject)
     p_inject.add_argument("--run-id", type=int)
-    p_inject.add_argument("--scale", type=float, help="type-A multiplier")
+    p_inject.add_argument("--scale", type=float, help="type-A multiplier of the one-shot fault")
     p_inject.add_argument("--bit", type=int, help="bit to flip (type B) instead of scaling")
     p_inject.add_argument("--step", type=int)
     p_inject.add_argument("--sweep", type=int)
@@ -116,9 +121,7 @@ def build_parser():
     add_run_options(p_ignite)
     p_ignite.add_argument("--seed", type=int)
     p_ignite.add_argument("--run-id", type=int)
-    p_ignite.add_argument("--fault-mode", choices=["off", "type_a", "type_b"])
-    p_ignite.add_argument("--window", type=int)
-    p_ignite.add_argument("--scale", type=float)
+    add_fault_options(p_ignite)
     p_ignite.set_defaults(func=_cmd_ignite)
 
     p_campaign = sub.add_parser("campaign", help="Monte Carlo fault campaign")
@@ -126,10 +129,7 @@ def build_parser():
     p_campaign.add_argument("--runs", type=int, default=50)
     p_campaign.add_argument("--base-seed", type=int, default=0)
     p_campaign.add_argument("--workers", type=int)
-    p_campaign.add_argument("--fault-mode", choices=["off", "type_a", "type_b"],
-                            default="type_b")
-    p_campaign.add_argument("--window", type=int)
-    p_campaign.add_argument("--scale", type=float)
+    add_fault_options(p_campaign, mode_default="type_b")
     p_campaign.set_defaults(func=_cmd_campaign)
 
     return parser
@@ -182,10 +182,6 @@ def _parse_args(parser, argv):
     return parser.parse_args(argv)
 
 
-def _output_dir(args):
-    return args.output_dir or os.environ.get(_ENV_OUTPUT_DIR, "runs")
-
-
 def _given(args, fields):
     """The settings given among ``fields``, keyed by the field they set."""
     return {field: getattr(args, flag) for flag, field in fields.items()
@@ -193,8 +189,8 @@ def _given(args, fields):
 
 
 def _run_config(args, **fields):
-    fault = FaultConfig(**_given(args, _FAULT_FIELDS))
-    return RunConfig(fault=fault, **_given(args, _RUN_FIELDS), **fields)
+    output_dir = args.output_dir or os.environ.get("RESILIENT_SDC_OUTPUT_DIR", "runs")
+    return RunConfig(**_given(args, _RUN_FIELDS), output_dir=output_dir, **fields)
 
 
 def _print_run_summary(report):
@@ -209,8 +205,7 @@ def _print_run_summary(report):
         print(f"abs_error: {metrics['abs_error']:.6g}")
     print(f"steps: {metrics['steps']}  sweeps: {metrics['total_sweeps']}  "
           f"restarts: {metrics['restarts']}  faults: {metrics['fault_events']}")
-    if report.config.output_dir:
-        print(f"artifacts: {report.config.output_dir}")
+    print(f"artifacts: {report.config.output_dir}")
 
 
 def _cmd_converge(args):
@@ -223,8 +218,9 @@ def _cmd_converge(args):
 
 
 def _cmd_sense(args):
-    cfg = _run_config(args, output_dir=_output_dir(args))
-    rows = sensitivity_sweep(cfg, args.kernels, step_index=args.step)
+    cfg = _run_config(args)
+    rows = sensitivity_sweep(cfg, args.kernels, step_index=args.step,
+                             **_given(args, {"scale": "scale"}))
     print(f"{'kernel':<18} {'final_peak_T':>14} {'deviation':>12} {'status':>10}")
     for row in rows:
         print(
@@ -236,14 +232,13 @@ def _cmd_sense(args):
 
 
 def _cmd_inject(args):
-    cfg = _run_config(args, output_dir=_output_dir(args))
     shot = _given(args, _ONE_SHOT_FIELDS)
     if "bit" in shot and "scale" in shot:
         raise ValueError(f"a one-shot bit flip takes no scale, got scale {shot['scale']!r}")
-    if cfg.problem == "linear":
+    if args.problem == "linear":
         shot.setdefault("kernel_id", LINEAR_KERNEL_ID)
     spec = OneShotSpec(**shot)
-    report = run_single(replace(cfg, one_shot=spec))
+    report = run_single(_run_config(args, fault=spec))
     if not report.one_shot_fired:
         print(f"one-shot fault never fired: step {spec.step_index} sweep {spec.sweep_index} "
               f"node {spec.node_index} kernel {spec.kernel_id}", file=_sys.stderr)
@@ -252,21 +247,20 @@ def _cmd_inject(args):
 
 
 def _cmd_ignite(args):
-    report = run_single(_run_config(args, output_dir=_output_dir(args)))
+    report = run_single(_run_config(args, fault=FaultConfig(**_given(args, _FAULT_FIELDS))))
     _print_run_summary(report)
     return _RUN_STATUS_EXITS[report.status]
 
 
 def _cmd_campaign(args):
-    cfg = _run_config(args, output_dir=_output_dir(args))
+    cfg = _run_config(args, fault=FaultConfig(**_given(args, _FAULT_FIELDS)))
     summary = run_campaign(cfg, args.runs, args.base_seed, **_given(args, {"workers": "workers"}))
     print(f"runs: {summary.runs}  completed: {len(summary.scalars)}  "
           f"crashes: {summary.crash_count}  restarts: {summary.restart_count}")
     print(f"mean: {summary.mean:.6g}  min: {summary.minimum:.6g}  "
           f"max: {summary.maximum:.6g}  span: {summary.span:.6g}  "
           f"variance: {summary.variance:.6g}")
-    if cfg.output_dir:
-        print(f"artifacts: {cfg.output_dir}")
+    print(f"artifacts: {cfg.output_dir}")
     return EXIT_OK
 
 

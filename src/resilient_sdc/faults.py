@@ -8,7 +8,8 @@ values exactly as a transient hardware fault in a compute kernel would.
 Two corruption models are supported: ``type_a`` multiplies one element by a
 large scale factor, ``type_b`` flips one bit of the IEEE-754 binary64
 representation of one element (bit 63 is the sign, 62..52 the exponent,
-51..0 the mantissa).  The windowed injector fires exactly once per
+51..0 the mantissa).  A run's one fault source is a windowed ``FaultConfig``
+or a ``OneShotSpec``.  The windowed injector fires exactly once per
 completed window of kernel calls at a uniformly drawn call index, with all
 randomness keyed by (seed, run, window) so that runs are exactly
 reproducible and windows are independent.  A one-shot fault has no mode:
@@ -26,6 +27,7 @@ from typing import Optional, Union
 import numpy as np
 
 __all__ = [
+    "FAULT_MODES",
     "FaultConfig",
     "FaultEvent",
     "OneShotSpec",
@@ -36,7 +38,7 @@ __all__ = [
     "corrupt",
 ]
 
-_MODES = ("off", "type_a", "type_b")
+FAULT_MODES = ("off", "type_a", "type_b")
 
 
 def bit_flip(value, bit):
@@ -57,8 +59,8 @@ class FaultConfig:
     """Windowed-injection settings.
 
     ``window`` is the number of kernel calls per injection window and
-    ``scale`` the type-A multiplier.  A deterministic fault at a chosen
-    kernel, offset and bit is a ``OneShotSpec``.
+    ``scale`` the type-A multiplier; mode ``off`` injects nothing.  A run
+    holds a ``OneShotSpec`` in its place for one deterministic fault.
     """
 
     mode: str = "off"
@@ -67,8 +69,8 @@ class FaultConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        if self.mode not in FAULT_MODES:
+            raise ValueError(f"mode must be one of {FAULT_MODES}, got {self.mode!r}")
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
         if self.seed < 0:

@@ -180,7 +180,7 @@ def test_criterion_4_residual_spike_and_extra_sweeps():
         )
         fixed_clean = run_single(_ignition_cfg(integrator="sdc_fixed", t_end=t_end))
         fixed_fault = run_single(
-            _ignition_cfg(integrator="sdc_fixed", t_end=t_end, one_shot=spec)
+            _ignition_cfg(integrator="sdc_fixed", t_end=t_end, fault=spec)
         )
         assert fixed_fault.one_shot_fired is True
         r_fault = fixed_fault.traces[65].residual_maxnorms[-1]
@@ -189,7 +189,7 @@ def test_criterion_4_residual_spike_and_extra_sweeps():
         assert spike >= 10.0
 
         resilient_clean = run_single(_ignition_cfg(t_end=t_end))
-        resilient_fault = run_single(_ignition_cfg(t_end=t_end, one_shot=spec))
+        resilient_fault = run_single(_ignition_cfg(t_end=t_end, fault=spec))
         assert resilient_fault.one_shot_fired is True
         sweeps_fault = resilient_fault.traces[65].sweeps_taken
         sweeps_clean = resilient_clean.traces[65].sweeps_taken
@@ -357,7 +357,7 @@ def test_criterion_9_checkpoint_restart_recovers_exactly(fault_free_resilient):
             offset="max_T",
             bit=61,
         )
-        report = run_single(_ignition_cfg(one_shot=spec))
+        report = run_single(_ignition_cfg(fault=spec))
         assert report.one_shot_fired is True
         assert len(report.events) == 1
         assert report.traces[3].restarts == 1

@@ -114,7 +114,7 @@ def test_aborted_rk_run_artifacts_match_the_reference(tmp_path):
     cfg = RunConfig(
         integrator="rk",
         t_end=6 * _DT,
-        one_shot=OneShotSpec(step_index=2, sweep_index=1, node_index=0,
+        fault=OneShotSpec(step_index=2, sweep_index=1, node_index=0,
                              kernel_id="assembly", offset=0, scale=1e308),
     )
     report, written = _run_and_compare(tmp_path, cfg)
@@ -212,7 +212,7 @@ def test_all_aborted_campaign_matches_the_reference(tmp_path, monkeypatch):
     cfg = RunConfig(
         integrator="rk",
         t_end=6 * _DT,
-        one_shot=OneShotSpec(step_index=2, sweep_index=1, node_index=0,
+        fault=OneShotSpec(step_index=2, sweep_index=1, node_index=0,
                              kernel_id="assembly", offset=0, scale=1e308),
     )
     rows = _run_campaign_and_compare(tmp_path, monkeypatch, cfg, 2, 5)

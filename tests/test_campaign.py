@@ -97,21 +97,30 @@ def test_run_config_validation():
                 RunConfig(**{name: value})
     # a one-shot fault names a kernel of the run's problem
     for kernel in KERNEL_IDS:
-        RunConfig(one_shot=OneShotSpec(kernel_id=kernel))
-    RunConfig(problem="linear", one_shot=OneShotSpec(kernel_id=LINEAR_KERNEL_ID))
+        RunConfig(fault=OneShotSpec(kernel_id=kernel))
+    RunConfig(problem="linear", fault=OneShotSpec(kernel_id=LINEAR_KERNEL_ID))
     for problem, kernel in (("ignition", LINEAR_KERNEL_ID), ("ignition", "no_such_kernel"),
                             ("linear", "assembly")):
         with pytest.raises(ValueError, match=f"one-shot kernel must be one of .* got '{kernel}'"):
-            RunConfig(problem=problem, one_shot=OneShotSpec(kernel_id=kernel))
+            RunConfig(problem=problem, fault=OneShotSpec(kernel_id=kernel))
     # max_T reads the ignition state's temperatures, which the linear problem lacks
-    RunConfig(one_shot=OneShotSpec(offset="max_T"))
+    RunConfig(fault=OneShotSpec(offset="max_T"))
     with pytest.raises(ValueError, match="max_T names the hottest ignition grid point"):
         RunConfig(problem="linear",
-                  one_shot=OneShotSpec(kernel_id=LINEAR_KERNEL_ID, offset="max_T"))
-    # a one-shot fault runs alone: an armed fault stream beside it is an error
-    for mode in ("type_a", "type_b"):
-        with pytest.raises(ValueError, match=f"^a one-shot needs fault mode 'off', got '{mode}'$"):
-            RunConfig(fault=FaultConfig(mode=mode), one_shot=OneShotSpec())
+                  fault=OneShotSpec(kernel_id=LINEAR_KERNEL_ID, offset="max_T"))
+
+
+def test_a_fault_of_neither_config_type_is_a_config_error(monkeypatch):
+    """A run's one fault source is a windowed ``FaultConfig`` or a
+    ``OneShotSpec``; anything else fails when the config is built."""
+    runs = []
+    monkeypatch.setattr(campaign_module, "run_single", runs.append)
+    message = "^fault must be a FaultConfig or a OneShotSpec, got {}$"
+    with pytest.raises(ValueError, match=message.format("None")):
+        run_single(RunConfig(fault=None, t_end=1e-6))
+    with pytest.raises(ValueError, match=message.format("'type_b'")):
+        run_campaign(RunConfig(fault="type_b", t_end=1e-6), 2, 0)
+    assert runs == []
 
 
 def test_one_shot_positions_the_integrator_never_evaluates_are_config_errors():
@@ -125,7 +134,7 @@ def test_one_shot_positions_the_integrator_never_evaluates_are_config_errors():
         ("sdc_resilient", dict(sweep_index=1, node_index=0)),
     ]
     for integrator, position in reachable:
-        RunConfig(integrator=integrator, one_shot=OneShotSpec(**position))
+        RunConfig(integrator=integrator, fault=OneShotSpec(**position))
     unreachable = [
         ("rk", dict(node_index=4), "node_index must be < 4 for rk"),
         ("rk", dict(sweep_index=2, node_index=1), "sweep_index must be <= 1 for rk"),
@@ -138,20 +147,20 @@ def test_one_shot_positions_the_integrator_never_evaluates_are_config_errors():
     ]
     for integrator, position, message in unreachable:
         with pytest.raises(ValueError, match=f"^one-shot {message}"):
-            RunConfig(integrator=integrator, one_shot=OneShotSpec(**position))
+            RunConfig(integrator=integrator, fault=OneShotSpec(**position))
     # the bounds follow the run's own node and sweep counts
     RunConfig(integrator="sdc_fixed", num_nodes=5, sweeps=6,
-              one_shot=OneShotSpec(sweep_index=6, node_index=4))
+              fault=OneShotSpec(sweep_index=6, node_index=4))
     # and its step count: the last step of a 21-step run is step 20
     for integrator in ("rk", "sdc_fixed", "sdc_resilient"):
         cfg = RunConfig(integrator=integrator, t_end=1.6e-4)
         assert cfg.step_count() == 21
-        replace(cfg, one_shot=OneShotSpec(step_index=20))
+        replace(cfg, fault=OneShotSpec(step_index=20))
         with pytest.raises(ValueError, match="^one-shot step_index must be < 21 for a 21-step run, "
                                              "got 21$"):
-            replace(cfg, one_shot=OneShotSpec(step_index=21))
+            replace(cfg, fault=OneShotSpec(step_index=21))
     with pytest.raises(ValueError, match="^one-shot step_index must be < 0 for a 0-step run"):
-        RunConfig(t_end=0.0, one_shot=OneShotSpec())
+        RunConfig(t_end=0.0, fault=OneShotSpec())
 
 
 def _config_dataclasses(obj):
@@ -166,7 +175,8 @@ def _config_dataclasses(obj):
 
 def test_every_config_dataclass_is_frozen():
     """A config is checked when it is built, so none may change after."""
-    configs = _config_dataclasses(RunConfig(one_shot=OneShotSpec()))
+    configs = [config for fault in (FaultConfig(), OneShotSpec())
+               for config in _config_dataclasses(RunConfig(fault=fault))]
     assert {type(c).__name__ for c in configs} == {
         "RunConfig", "ControllerConfig", "FaultConfig", "OneShotSpec", "IgnitionSurrogate"}
     for config in configs:
@@ -176,12 +186,12 @@ def test_every_config_dataclass_is_frozen():
 
 
 def test_replace_rechecks_the_derived_config():
-    cfg = RunConfig(integrator="sdc_fixed", t_end=1.6e-4, one_shot=OneShotSpec(step_index=20))
+    cfg = RunConfig(integrator="sdc_fixed", t_end=1.6e-4, fault=OneShotSpec(step_index=20))
     for changes, message in (
         (dict(dt=-0.1), "dt must be positive, got -0.1"),
-        (dict(one_shot=OneShotSpec(step_index=21)),
+        (dict(fault=OneShotSpec(step_index=21)),
          "one-shot step_index must be < 21 for a 21-step run, got 21"),
-        (dict(fault=FaultConfig(mode="type_b")), "a one-shot needs fault mode 'off', got 'type_b'"),
+        (dict(fault=None), "fault must be a FaultConfig or a OneShotSpec, got None"),
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             replace(cfg, **changes)
@@ -207,6 +217,23 @@ def test_sensitivity_sweep_checks_its_kernels_before_any_run(monkeypatch):
     with pytest.raises(ValueError, match="^need at least one kernel$"):
         sensitivity_sweep(_ignition_cfg(), kernels=[], step_index=1)
     assert runs == []
+
+
+def test_sensitivity_sweep_replaces_the_fault_source_with_its_own(monkeypatch):
+    """The baseline runs with ``FaultConfig()`` and each kernel with a
+    one-shot of the sweep's ``scale``, whatever fault ``cfg`` holds."""
+    configs = []
+
+    def record(cfg):
+        configs.append(cfg)
+        return run_single(cfg)
+
+    monkeypatch.setattr(campaign_module, "run_single", record)
+    cfg = _ignition_cfg(t_end=3 * _DT, fault=FaultConfig(mode="type_b", scale=3.0))
+    sensitivity_sweep(cfg, kernels=["assembly"], step_index=1, scale=2.0)
+    assert [c.fault for c in configs] == [
+        FaultConfig(), OneShotSpec(step_index=1, kernel_id="assembly", offset="max_T", scale=2.0)]
+    assert configs[1] == replace(cfg, fault=configs[1].fault)
 
 
 def test_campaign_rejects_empty_run_count():
@@ -242,15 +269,15 @@ def test_an_offset_past_the_kernel_array_is_a_config_error_before_any_run(monkey
     monkeypatch.setattr(campaign_module, "run_single", runs.append)
     message = "one-shot offset 500 is past the end of kernel reaction_rate's 120-element array"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        run_campaign(RunConfig(integrator="sdc_fixed", t_end=2e-4, one_shot=OneShotSpec(
+        run_campaign(RunConfig(integrator="sdc_fixed", t_end=2e-4, fault=OneShotSpec(
             step_index=1, kernel_id="reaction_rate", offset=500)), 3, 0)
     assert runs == []
     for problem, kernel, size in (("ignition", "assembly", 240), ("ignition", "gradient_T", 120),
                                   ("linear", LINEAR_KERNEL_ID, 1)):
-        RunConfig(problem=problem, one_shot=OneShotSpec(kernel_id=kernel, offset=size - 1))
+        RunConfig(problem=problem, fault=OneShotSpec(kernel_id=kernel, offset=size - 1))
         message = f"one-shot offset {size} is past the end of kernel {kernel}'s {size}-element array"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            RunConfig(problem=problem, one_shot=OneShotSpec(kernel_id=kernel, offset=size))
+            RunConfig(problem=problem, fault=OneShotSpec(kernel_id=kernel, offset=size))
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +295,10 @@ def test_one_shot_fired_is_read_off_the_events():
     """None without a one-shot; with one, whether it logged its event."""
     cfg = RunConfig(integrator="sdc_fixed", t_end=2e-4)
     assert run_single(cfg).one_shot_fired is None
-    fired = run_single(replace(cfg, one_shot=OneShotSpec(step_index=1, kernel_id="reaction_rate")))
+    fired = run_single(replace(cfg, fault=OneShotSpec(step_index=1, kernel_id="reaction_rate")))
     assert fired.one_shot_fired is True and len(fired.events) == 1
     # step 400 converges before the controller's sweep 8
-    unfired = run_single(RunConfig(t_end=3.1e-3, one_shot=OneShotSpec(
+    unfired = run_single(RunConfig(t_end=3.1e-3, fault=OneShotSpec(
         step_index=400, sweep_index=8, node_index=1, kernel_id="reaction_rate")))
     assert unfired.one_shot_fired is False and unfired.events == []
 
@@ -286,7 +313,7 @@ def test_same_config_reruns_bitwise_identically():
 def test_rk_crashes_on_a_non_finite_one_shot():
     cfg = _ignition_cfg(
         integrator="rk",
-        one_shot=OneShotSpec(step_index=2, sweep_index=1, node_index=0,
+        fault=OneShotSpec(step_index=2, sweep_index=1, node_index=0,
                              kernel_id="assembly", offset=0, scale=1e308),
     )
     report = run_single(cfg)
@@ -300,7 +327,7 @@ def test_rk_crashes_on_a_non_finite_one_shot():
 
 def test_resilient_recovers_from_the_same_one_shot():
     cfg = _ignition_cfg(
-        one_shot=OneShotSpec(step_index=2, sweep_index=1, node_index=0,
+        fault=OneShotSpec(step_index=2, sweep_index=1, node_index=0,
                              kernel_id="assembly", offset=0, scale=1e308),
     )
     report = run_single(cfg)
@@ -358,7 +385,7 @@ def test_campaign_members_use_independent_streams():
 def test_campaign_counts_universal_crashes():
     cfg = _ignition_cfg(
         integrator="rk",
-        one_shot=OneShotSpec(step_index=1, sweep_index=1, node_index=0,
+        fault=OneShotSpec(step_index=1, sweep_index=1, node_index=0,
                              kernel_id="assembly", offset=0, scale=1e308),
     )
     summary = run_campaign(cfg, 3, base_seed=2)
@@ -443,10 +470,9 @@ def test_campaign_artifacts_recompute_to_the_summary(tmp_path):
 def test_sensitivity_covers_each_requested_kernel_once():
     cfg = _ignition_cfg(
         integrator="sdc_fixed",
-        fault=FaultConfig(mode="off", scale=1.5),
         t_end=12 * _DT,
     )
-    rows = sensitivity_sweep(cfg, step_index=5)
+    rows = sensitivity_sweep(cfg, step_index=5, scale=1.5)
     assert [r["kernel"] for r in rows] == list(KERNEL_IDS)
     assert all(r["status"] == "completed" for r in rows)
     by_kernel = {r["kernel"]: r["deviation"] for r in rows}
@@ -489,6 +515,14 @@ def test_convergence_study_orders():
     by_sweeps = {r["sweeps"]: r["observed_order"] for r in rows}
     assert 1.7 <= by_sweeps[2] <= 2.3
     assert 0.7 <= by_sweeps[1] <= 1.3
+
+
+def test_convergence_study_at_roundoff_names_the_run_whose_error_is_zero():
+    """An error of exactly 0.0 has no logarithm: the study says which run
+    reached it instead of fitting an order to it."""
+    message = "4 nodes, 8 sweeps, dt 0.005: the error is exactly 0.0, so no order can be fit"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        convergence_study("linear", [0.02, 0.01, 0.005], [4], [8], t_end=0.04)
 
 
 def test_convergence_study_input_validation(monkeypatch):

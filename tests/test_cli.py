@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from resilient_sdc import cli
-from resilient_sdc.campaign import RunConfig
+from resilient_sdc.campaign import INTEGRATORS, PROBLEMS, RunConfig
 from resilient_sdc.cli import (
     EXIT_CAPPED,
     EXIT_CONFIG,
@@ -19,7 +19,7 @@ from resilient_sdc.cli import (
     build_parser,
     main,
 )
-from resilient_sdc.faults import FaultConfig, OneShotSpec
+from resilient_sdc.faults import FAULT_MODES, FaultConfig, OneShotSpec
 from resilient_sdc.problems import IgnitionSurrogate, linear_exact
 
 DT = IgnitionSurrogate().default_dt()
@@ -73,6 +73,41 @@ def test_converge_ladder_abort_writes_one_config_error_line(tmp_path):
     assert result.stdout == ""
     assert result.stderr == ("config error: 3 nodes, 4 sweeps, dt 1.0: "
                              "non-finite state (step 712, sweep 1, node 1)\n")
+
+
+def test_converge_at_roundoff_writes_one_config_error_line(tmp_path):
+    """A ladder run whose error is exactly 0.0 stops the study before the
+    fit, with no floating-point warning and no meaningless order."""
+    result = subprocess.run(
+        [sys.executable, "-m", "resilient_sdc.cli", "converge", "--nodes", "4", "--sweeps", "8",
+         "--dts", "0.02,0.01,0.005", "--t-end", "0.04"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert result.returncode == EXIT_CONFIG
+    assert result.stdout == ""
+    assert result.stderr == ("config error: 4 nodes, 8 sweeps, dt 0.005: "
+                             "the error is exactly 0.0, so no order can be fit\n")
+
+
+def test_flag_choices_are_the_tuples_the_library_checks_against():
+    """Each name list is declared once, and each parser has its own fault
+    flags: ``campaign``'s ``type_b`` default does not reach ``ignite``."""
+    parser = build_parser()
+    (commands,) = [action for action in parser._actions if action.dest == "command"]
+    library = {"problem": PROBLEMS, "integrator": INTEGRATORS, "fault_mode": FAULT_MODES}
+    seen = []
+    for name, sub in commands.choices.items():
+        for action in sub._actions:
+            if action.dest in library:
+                assert action.choices is library[action.dest], (name, action.dest)
+                seen.append((name, action.dest))
+    assert sorted(seen) == sorted(
+        [(name, "integrator") for name in ("sense", "inject", "ignite", "campaign")]
+        + [(name, "problem") for name in ("inject", "ignite", "campaign")]
+        + [(name, "fault_mode") for name in ("ignite", "campaign")])
+    assert parser.parse_args(["ignite"]).fault_mode is None
+    assert parser.parse_args(["campaign"]).fault_mode == "type_b"
 
 
 @pytest.mark.parametrize(
@@ -309,9 +344,9 @@ def test_settings_rejected_before_any_run_are_config_errors(tmp_path, capsys, mo
     assert calls == [] and not (tmp_path / "out").exists()
 
 
-def test_cli_hands_the_library_its_own_defaults(tmp_path, monkeypatch):
-    """With no flags and no config file, every setting is the library's default."""
-    monkeypatch.setenv("RESILIENT_SDC_OUTPUT_DIR", str(tmp_path))
+def _library_calls(monkeypatch, flags):
+    """The calls ``ignite``, ``inject``, ``campaign`` and ``sense`` make into
+    the library with ``flags``, each stopped before anything runs."""
     calls = []
 
     class Called(Exception):
@@ -325,13 +360,33 @@ def test_cli_hands_the_library_its_own_defaults(tmp_path, monkeypatch):
         monkeypatch.setattr(cli, name, record)
     for command in ("ignite", "inject", "campaign", "sense"):
         with pytest.raises(Called):
-            main([command])
+            main([command, *flags])
+    return calls
+
+
+def test_cli_hands_the_library_its_own_defaults(tmp_path, monkeypatch):
+    """With no flags and no config file, every setting is the library's default."""
+    monkeypatch.setenv("RESILIENT_SDC_OUTPUT_DIR", str(tmp_path))
     out = str(tmp_path)
-    assert calls == [
+    assert _library_calls(monkeypatch, []) == [
         ((RunConfig(output_dir=out),), {}),
-        ((RunConfig(output_dir=out, one_shot=OneShotSpec()),), {}),
+        ((RunConfig(output_dir=out, fault=OneShotSpec()),), {}),
         ((RunConfig(output_dir=out, fault=FaultConfig(mode="type_b")), 50, 0), {}),
         ((RunConfig(output_dir=out), None), {"step_index": None}),
+    ]
+
+
+def test_scale_goes_to_the_fault_source_of_each_command(tmp_path, monkeypatch):
+    """``--scale`` multiplies the windowed faults of ``ignite`` and
+    ``campaign``, the one-shot of ``inject`` and each one-shot of ``sense``;
+    ``inject`` and ``sense`` build no ``FaultConfig``."""
+    monkeypatch.setenv("RESILIENT_SDC_OUTPUT_DIR", str(tmp_path))
+    out = str(tmp_path)
+    assert _library_calls(monkeypatch, ["--scale", "2"]) == [
+        ((RunConfig(output_dir=out, fault=FaultConfig(scale=2.0)),), {}),
+        ((RunConfig(output_dir=out, fault=OneShotSpec(scale=2.0)),), {}),
+        ((RunConfig(output_dir=out, fault=FaultConfig(mode="type_b", scale=2.0)), 50, 0), {}),
+        ((RunConfig(output_dir=out), None), {"step_index": None, "scale": 2.0}),
     ]
 
 

@@ -131,7 +131,7 @@ def run_set():
         spec = OneShotSpec(
             step_index=5, sweep_index=2, node_index=1, kernel_id=kernel, offset="max_T"
         )
-        add(f"one-shot {kernel}", replace(member, one_shot=spec))
+        add(f"one-shot {kernel}", replace(member, fault=spec))
 
     add("linear sdc_fixed", RunConfig(problem="linear", integrator="sdc_fixed"), artifacts=True)
     for integrator, dts in LINEAR_LADDERS.items():
