@@ -73,7 +73,7 @@ class RunConfig:
     fault: Union[FaultConfig, OneShotSpec] = field(default_factory=FaultConfig)
     surrogate: IgnitionSurrogate = field(default_factory=IgnitionSurrogate)
     run_id: int = 0
-    output_dir: Optional[str] = None
+    output_dir: Optional[str] = None  # None writes nothing; "" names no directory
 
     def __post_init__(self):
         if self.problem not in PROBLEMS:
@@ -86,6 +86,8 @@ class RunConfig:
         fixed_sweeps(self.sweeps)  # raises for a sweep count below 1
         if self.run_id < 0:
             raise ValueError(f"run_id must be >= 0, got {self.run_id}")
+        if self.output_dir == "":
+            raise ValueError("output_dir must not be empty")
         steps = self.step_count()  # raises for a dt or t_end step_times refuses
         if not isinstance(self.fault, (FaultConfig, OneShotSpec)):
             raise ValueError(f"fault must be a FaultConfig or a OneShotSpec, got {self.fault!r}")
@@ -381,16 +383,18 @@ def run_campaign(cfg, n_runs, base_seed, *, workers=1):
 
     Run ``i`` is ``cfg`` with run id ``i``.  A windowed fault takes seed
     ``base_seed`` too, so run ``i`` draws the injection stream keyed by
-    (base_seed, i), bit for bit the same for any worker count, and a bad
-    ``base_seed`` fails before any run; a ``OneShotSpec`` repeats in every
-    member.  Statistics cover completed (non-aborted) runs; aborts are
-    tallied in ``crash_count``.  ``workers`` processes run the members; 1
-    runs them in this process.
+    (base_seed, i), bit for bit the same for any worker count; a
+    ``OneShotSpec`` repeats in every member.  A negative ``base_seed``
+    fails before any run, whatever the fault source.  Statistics cover
+    completed (non-aborted) runs; aborts are tallied in ``crash_count``.
+    ``workers`` processes run the members; 1 runs them in this process.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if base_seed < 0:
+        raise ValueError(f"seed must be >= 0, got {base_seed}")
     fault = replace(cfg.fault, seed=base_seed) if isinstance(cfg.fault, FaultConfig) else cfg.fault
     members = [replace(cfg, run_id=i, fault=fault, output_dir=None) for i in range(n_runs)]
     if workers > 1:

@@ -9,7 +9,8 @@ an error; so are ``config`` and ``help``.
 Settings that neither gives take the library's defaults (``RunConfig``,
 ``FaultConfig``, ``OneShotSpec``), bar ``campaign``'s fault mode, which is
 ``type_b``.  The output directory falls back to the RESILIENT_SDC_OUTPUT_DIR
-environment variable, then ./runs.  A run's one fault source is the windowed
+environment variable, then ./runs; an empty name from either is a
+configuration error.  A run's one fault source is the windowed
 ``FaultConfig`` of ``ignite`` and ``campaign`` or the ``OneShotSpec`` of
 ``inject``, which flips ``--bit`` or else multiplies by ``--scale`` (not
 both) and says so on stderr when its fault never fired.
@@ -189,7 +190,9 @@ def _given(args, fields):
 
 
 def _run_config(args, **fields):
-    output_dir = args.output_dir or os.environ.get("RESILIENT_SDC_OUTPUT_DIR", "runs")
+    output_dir = args.output_dir
+    if output_dir is None:
+        output_dir = os.environ.get("RESILIENT_SDC_OUTPUT_DIR", "runs")
     return RunConfig(**_given(args, _RUN_FIELDS), output_dir=output_dir, **fields)
 
 

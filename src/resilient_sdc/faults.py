@@ -13,10 +13,12 @@ or a ``OneShotSpec``.  The windowed injector fires exactly once per
 completed window of kernel calls at a uniformly drawn call index, with all
 randomness keyed by (seed, run, window) so that runs are exactly
 reproducible and windows are independent.  A one-shot fault has no mode:
-one with a ``bit`` flips it, one without multiplies by its ``scale``, as
-``corrupt`` does, and whether it fired is whether it logged an event.
-Hooks learn each node's state with its position (``begin_node``), which
-the one-shot's ``max_T`` reads.
+one with a ``bit`` flips it, one without multiplies by its ``scale``, and
+whether it fired is whether it logged an event.  A hook learns the step
+from ``sdc.march`` (``begin_step``) and, before each rhs evaluation, the
+sweep, node and state from ``sdc.evaluate`` (``begin_node``); the
+one-shot's ``max_T`` reads that state.  Both injectors corrupt through
+``KernelHook.corrupt``, which stamps the hook's position on the event.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ __all__ = [
     "FaultInjector",
     "OneShotPerturbation",
     "bit_flip",
-    "corrupt",
 ]
 
 FAULT_MODES = ("off", "type_a", "type_b")
@@ -102,27 +103,6 @@ class FaultEvent:
         return record
 
 
-def corrupt(array, offset, kernel_id, *, bit=None, scale=None, call_index, sim_time,
-            position, run_id):
-    """Corrupt ``array[offset]`` in place and return its FaultEvent.
-
-    Flips ``bit`` (type B) when given, else multiplies by ``scale``
-    (type A).  ``position`` is the (step, sweep, node) of the kernel call.
-    """
-    old = float(array[offset])
-    if bit is not None:
-        new, scale = bit_flip(old, bit), None
-    else:
-        new = old * scale
-    array[offset] = new
-    step, sweep, node = position
-    return FaultEvent(
-        call_index=call_index, kernel_id=kernel_id, array_offset=offset, old_value=old,
-        new_value=new, sim_time=sim_time, bit_index=bit, scale=scale, step_index=step,
-        sweep_index=sweep, node_index=node, run_id=run_id,
-    )
-
-
 class KernelHook:
     """Base observer for kernelized rhs evaluations; injects nothing.
 
@@ -146,11 +126,10 @@ class KernelHook:
         self.step_index = step_index
         self.sim_time = sim_time
 
-    def begin_sweep(self, sweep_index):
+    def begin_node(self, sweep_index, node_index, state):
+        """Enter a node (or RK stage) of a sweep whose rhs is evaluated at
+        ``state``: the whole position of the kernel calls that follow."""
         self.sweep_index = sweep_index
-
-    def begin_node(self, node_index, state):
-        """Enter a node (or RK stage) whose rhs is evaluated at ``state``."""
         self.node_index = node_index
         self.node_state = state
 
@@ -160,6 +139,27 @@ class KernelHook:
     def filter(self, kernel_id, array):
         """Pass one kernel return array through the hook (no-op here)."""
         self.call_count += 1
+
+    def corrupt(self, kernel_id, array, offset, *, bit=None, scale=None):
+        """Corrupt ``array[offset]`` of the kernel call counted last, in
+        place, and log its FaultEvent; no other code builds one.
+
+        Flips ``bit`` (type B) when given, else multiplies by ``scale``
+        (type A).  The event takes its call index, step time, position and
+        run id from the hook.
+        """
+        old = float(array[offset])
+        if bit is not None:
+            new, scale = bit_flip(old, bit), None
+        else:
+            new = old * scale
+        array[offset] = new
+        self.events.append(FaultEvent(
+            call_index=self.call_count - 1, kernel_id=kernel_id, array_offset=offset,
+            old_value=old, new_value=new, sim_time=self.sim_time, bit_index=bit, scale=scale,
+            step_index=self.step_index, sweep_index=self.sweep_index,
+            node_index=self.node_index, run_id=self.run_id,
+        ))
 
 
 class FaultInjector(KernelHook):
@@ -190,10 +190,7 @@ class FaultInjector(KernelHook):
             return
         offset = int(self.rng.integers(0, array.size))
         bit = int(self.rng.integers(0, 64)) if self.cfg.mode == "type_b" else None
-        self.events.append(corrupt(
-            array, offset, kernel_id, bit=bit, scale=self.cfg.scale, call_index=call_index,
-            sim_time=self.sim_time, position=self.position(), run_id=self.run_id,
-        ))
+        self.corrupt(kernel_id, array, offset, bit=bit, scale=self.cfg.scale)
         self.due_call = self._draw(call_index // self.cfg.window + 1)
 
 
@@ -246,8 +243,4 @@ class OneShotPerturbation(KernelHook):
         offset = spec.offset
         if offset == "max_T":
             offset = int(np.argmax(self.node_state[: self.node_state.size // 2]))
-        self.events.append(corrupt(
-            array, offset, kernel_id, bit=spec.bit, scale=spec.scale,
-            call_index=self.call_count - 1, sim_time=self.sim_time, position=self.position(),
-            run_id=self.run_id,
-        ))
+        self.corrupt(kernel_id, array, offset, bit=spec.bit, scale=spec.scale)

@@ -35,7 +35,6 @@ def rk_step(phi_n, t, dt, sys):
     armed fault hook sees every stage exactly like an SDC sweep would, and
     the finite checks and their messages are the SDC ones."""
     phi_n = np.asarray(phi_n, dtype=float)
-    sys.hook.begin_sweep(1)
     k = np.empty((_B.size, phi_n.size))
     for i in range(_B.size):
         stage_state = phi_n + dt * _A[i, :i].dot(k[:i])

@@ -49,9 +49,10 @@ class ODESystem:
     state check: every integrator (``integrate``, ``rk_integrate``,
     ``integrate_resilient``) applies it when it is set.  ``hook`` is the
     kernel-level fault-injection observer, always present: a system built
-    without one gets a fresh, disarmed ``KernelHook``.  Integrators notify it
-    of the (step, sweep, node) position and each node's state; kernelized
-    right-hand sides pass their return arrays through it.
+    without one gets a fresh, disarmed ``KernelHook``.  ``march`` tells it
+    each step (``begin_step``) and ``evaluate`` each call's sweep, node and
+    state (``begin_node``); kernelized right-hand sides pass their return
+    arrays through it.
     """
 
     rhs: Callable[[np.ndarray, float], np.ndarray]
@@ -122,12 +123,13 @@ def realizability_guard(state, sys):
 
 def evaluate(sys, state, t, node, sweep):
     """``sys.rhs(state, t)`` at one node or stage, the one kernel-call path:
-    finite-check the state, hand the hook the node and the very array the rhs
-    receives, evaluate, finite-check the result.  Both checks raise
-    NonRealizableStateError at ``node`` of ``sweep``."""
+    finite-check the state, hand the hook the call's sweep, node and the very
+    array the rhs receives (``begin_node``, the one source of a kernel
+    call's sweep and node), evaluate, finite-check the result.  Both checks
+    raise NonRealizableStateError at ``node`` of ``sweep``."""
     if not all_finite(state):
         raise NonRealizableStateError("non-finite state", node_index=node, sweep_index=sweep)
-    sys.hook.begin_node(node, state)
+    sys.hook.begin_node(sweep, node, state)
     f = sys.rhs(state, t)
     if not all_finite(f):
         raise NonRealizableStateError("non-finite rhs evaluation", node_index=node,
@@ -146,8 +148,6 @@ def predictor(phi_n, rule, sys, t_start, dt):
     phi_n = np.asarray(phi_n, dtype=float)
     num_nodes = rule.num_nodes
     times = t_start + dt * rule.nodes
-    sys.hook.begin_sweep(1)
-
     states = np.empty((num_nodes, phi_n.size))
     rhs_vals = np.empty_like(states)
     states[0] = phi_n
@@ -171,8 +171,6 @@ def sdc_sweep(sol, rule, sys, *, sweep_index):
     product stays its own call: one ``s_matrix @ old_rhs`` for all rows
     rounds differently for three or more nodes.
     """
-    sys.hook.begin_sweep(sweep_index)
-
     times = sol.times
     dt = sol.dt
     s_matrix = rule.s_matrix
@@ -289,7 +287,8 @@ def march(phi_0, t0, t_end, dt, sys, step):
     """The fixed-step loop over [t0, t_end] that every integrator runs on.
 
     ``step(k, phi, t_k, h)`` advances step k and returns (new state, trace
-    or None); the hook hears ``begin_step`` first.  ``step`` must return a
+    or None); the hook hears ``begin_step`` first, from here only, as only
+    the loop knows the step index and start time.  ``step`` must return a
     fresh array and leave its input alone: the trajectory keeps each state
     as returned, with a copy of ``phi_0`` first.  Returns (trajectory,
     traces): (time, state) pairs from the initial condition on, and the

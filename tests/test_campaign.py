@@ -260,6 +260,30 @@ def test_campaign_rejects_a_negative_base_seed_before_any_run(monkeypatch, worke
     assert runs == []
 
 
+def test_campaign_rejects_a_negative_base_seed_whatever_the_fault_source(tmp_path, monkeypatch):
+    """A one-shot draws nothing from the base seed, but a negative one is
+    still an error, before any run and before any artifact is written."""
+    runs = []
+    monkeypatch.setattr(campaign_module, "run_single", runs.append)
+    out = tmp_path / "c"
+    cfg = RunConfig(integrator="sdc_fixed", t_end=2e-4, output_dir=str(out),
+                    fault=OneShotSpec(step_index=1, kernel_id="reaction_rate"))
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -2$"):
+        run_campaign(cfg, 2, -2)
+    assert runs == []
+    assert not out.exists()
+
+
+def test_an_empty_output_dir_is_a_config_error_when_built(monkeypatch):
+    runs = []
+    monkeypatch.setattr(campaign_module, "run_single", runs.append)
+    with pytest.raises(ValueError, match="^output_dir must not be empty$"):
+        run_single(RunConfig(output_dir=""))
+    with pytest.raises(ValueError, match="^output_dir must not be empty$"):
+        replace(_ignition_cfg(), output_dir="")
+    assert runs == []
+
+
 def test_an_offset_past_the_kernel_array_is_a_config_error_before_any_run(monkeypatch):
     """The problem gives each kernel's array length: ``assembly`` holds both
     ignition fields, every other ignition kernel one, the linear

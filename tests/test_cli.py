@@ -75,6 +75,35 @@ def test_converge_ladder_abort_writes_one_config_error_line(tmp_path):
                              "non-finite state (step 712, sweep 1, node 1)\n")
 
 
+def test_an_empty_output_dir_variable_writes_one_config_error_line(tmp_path):
+    """An empty RESILIENT_SDC_OUTPUT_DIR names no directory: the run config
+    refuses it when built, so nothing runs and nothing is written."""
+    result = subprocess.run(
+        [sys.executable, "-m", "resilient_sdc.cli", "ignite", "--t-end", "2e-4"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC, "RESILIENT_SDC_OUTPUT_DIR": ""},
+    )
+    assert result.returncode == EXIT_CONFIG
+    assert result.stdout == ""
+    assert result.stderr == "config error: output_dir must not be empty\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("config", [None, {"output_dir": ""}])
+def test_an_empty_output_dir_flag_is_a_config_error(tmp_path, capsys, monkeypatch, config):
+    """An empty ``--output-dir``, or config key, is refused like an empty
+    variable, not replaced by ./runs."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["--output-dir", ""]
+    if config is not None:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        argv = ["--config", "c.json"]
+    rc = main([*argv, "ignite", "--problem", "linear", "--integrator", "rk", "--t-end", "0.2"])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr() == ("", "config error: output_dir must not be empty\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["c.json"] if config else [])
+
+
 def test_converge_at_roundoff_writes_one_config_error_line(tmp_path):
     """A ladder run whose error is exactly 0.0 stops the study before the
     fit, with no floating-point warning and no meaningless order."""

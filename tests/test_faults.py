@@ -11,11 +11,12 @@ import pytest
 from resilient_sdc.campaign import RunConfig, RunReport, _write_run_artifacts
 from resilient_sdc.faults import (
     FaultConfig,
+    FaultEvent,
     FaultInjector,
+    KernelHook,
     OneShotPerturbation,
     OneShotSpec,
     bit_flip,
-    corrupt,
 )
 from resilient_sdc.problems import KERNEL_IDS
 
@@ -55,13 +56,22 @@ def test_bit_flip_range_check():
 
 
 def test_corrupt_flips_or_scales_in_place_and_records_the_event():
-    where = dict(call_index=7, sim_time=0.5, position=(3, 2, 1), run_id=9)
+    """The hook stamps the event with its own call index (the call it
+    counted last), step time, position and run id."""
+    hook = KernelHook(run_id=9)
+    hook.begin_step(3, 0.5)
+    hook.begin_node(2, 1, np.ones(3))
     array = np.array([1.0, 3.0, 4.0])
-    event = corrupt(array, 1, "assembly", scale=1e4, **where)
+    for _ in range(8):
+        hook.filter("assembly", array)
+    hook.corrupt("assembly", array, 1, scale=1e4)
     assert array.tolist() == [1.0, 3.0e4, 4.0]
+    (event,) = hook.events
     assert (event.old_value, event.new_value, event.scale, event.bit_index) == (3.0, 3.0e4, 1e4, None)
-    event = corrupt(array, 2, "gradient_T", bit=63, scale=1e4, **where)
+    hook.corrupt("gradient_T", array, 2, bit=63, scale=1e4)
     assert array.tolist() == [1.0, 3.0e4, -4.0]
+    assert len(hook.events) == 2
+    event = hook.events[1]
     assert (event.old_value, event.new_value, event.scale, event.bit_index) == (4.0, -4.0, None, 63)
     assert (event.kernel_id, event.array_offset, event.call_index, event.sim_time) == (
         "gradient_T", 2, 7, 0.5
@@ -215,10 +225,15 @@ def maybe_inject(array, kernel_id, state, cfg, *, call_index=0, sim_time=0.0, po
         bit = None
         if cfg.mode == "type_b":
             bit = int(state.rng.integers(0, 64))
-        event = corrupt(
-            array, offset, kernel_id, bit=bit, scale=cfg.scale, call_index=call_index,
-            sim_time=sim_time, position=position if position is not None else (0, 0, 0),
-            run_id=state.run_id,
+        old = float(array[offset])
+        new = bit_flip(old, bit) if bit is not None else old * cfg.scale
+        array[offset] = new
+        step, sweep, node = position if position is not None else (0, 0, 0)
+        event = FaultEvent(
+            call_index=call_index, kernel_id=kernel_id, array_offset=offset, old_value=old,
+            new_value=new, sim_time=sim_time, bit_index=bit,
+            scale=None if bit is not None else cfg.scale, step_index=step, sweep_index=sweep,
+            node_index=node, run_id=state.run_id,
         )
 
     if state.counter >= cfg.window:
@@ -267,8 +282,7 @@ def test_filter_matches_a_maybe_inject_loop_call_by_call(window, members, mode, 
         values = rng.standard_normal(1 + call % 9 if ragged else 8)
         for hook, state, events in zip(hooks, reference, reference_events):
             hook.begin_step(call // 20, 0.5 * call)
-            hook.begin_sweep(call % 5)
-            hook.begin_node(call % 3, values)
+            hook.begin_node(call % 5, call % 3, values)
             array, reference_array = values.copy(), values.copy()
             hook.filter(kernel, array)
             event = maybe_inject(
@@ -303,8 +317,7 @@ def test_filter_matches_a_maybe_inject_loop_call_by_call(window, members, mode, 
 
 def _position_hook(hook, step, sweep, node):
     hook.begin_step(step, 0.25)
-    hook.begin_sweep(sweep)
-    hook.begin_node(node, np.ones(4))
+    hook.begin_node(sweep, node, np.ones(4))
 
 
 def test_one_shot_fires_exactly_once_at_position():
@@ -340,7 +353,7 @@ def test_one_shot_max_t_offset_targets_the_hottest_point():
     hook = OneShotPerturbation(spec)
     _position_hook(hook, 0, 1, 0)
     state = np.concatenate((np.array([300.0, 900.0, 400.0]), np.ones(3)))
-    hook.begin_node(0, state)
+    hook.begin_node(1, 0, state)
     array = np.array([1.0, 1.0, 1.0])
     hook.filter("reaction_rate", array)
     assert hook.events[0].array_offset == 1
@@ -385,8 +398,7 @@ def test_event_record_carries_full_context():
     cfg = FaultConfig(mode="type_a", window=5, seed=1)
     hook = FaultInjector(cfg, run_id=6)
     hook.begin_step(4, 1.5)
-    hook.begin_sweep(2)
-    hook.begin_node(1, np.ones(8))
+    hook.begin_node(2, 1, np.ones(8))
     _drive(hook, 5)
     record = hook.events[0].to_record()
     expected_keys = {

@@ -8,8 +8,11 @@ Each of those checks runs in a new interpreter, so ``sys.modules`` starts
 clean.  The last checks read the source: no module imports a name it never
 uses, only ``campaign`` opens a file for writing, no package module
 imports another's underscore name, only ``campaign.run_single`` calls an
-integrator, only ``sdc.march`` sets numpy's floating-point error state, and
-no package module imports ``warnings`` or ``logging``.
+integrator, only ``sdc.march`` sets numpy's floating-point error state, no
+package module imports ``warnings`` or ``logging``, and a kernel call's
+position reaches its hook one way: ``sdc.march`` alone calls ``begin_step``,
+``sdc.evaluate`` alone ``begin_node``, and ``KernelHook.corrupt`` alone
+builds a ``FaultEvent``.
 """
 
 import ast
@@ -367,3 +370,98 @@ def test_only_march_sets_the_floating_point_policy():
     found = [entry for path in paths for entry in float_policy_faults(path)]
     assert found == [], ("floating-point policy outside sdc.march, or a warnings or logging "
                          "import:\n" + "\n".join(found))
+
+
+# The one source of each part of a kernel call's position, and the one
+# writer of its fault record: only ``sdc.march`` knows the step index and
+# start time, only ``sdc.evaluate`` each rhs call's sweep, node and state,
+# and ``KernelHook.corrupt`` stamps what the hook holds on every event.
+POSITION_OWNERS = {
+    "begin_step": ("sdc.py", "march"),
+    "begin_node": ("sdc.py", "evaluate"),
+    "FaultEvent": ("faults.py", "KernelHook.corrupt"),
+}
+
+
+def _position_calls(tree):
+    """(line, name, owner) for each call of a ``POSITION_OWNERS`` name, by
+    bare name or as an attribute; the owner is the module-level function,
+    the ``Class.method`` or the class the call sits in, None at module
+    level."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            scopes = [(f"{top.name}.{item.name}" if hasattr(item, "name") else top.name, item)
+                      for item in top.body]
+        else:
+            scopes = [(getattr(top, "name", None), top)]
+        for owner, scope in scopes:
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in POSITION_OWNERS:
+                        yield node.lineno, name, owner
+
+
+def position_faults(path):
+    """``file:line: calls name in owner`` for each call of ``begin_step``,
+    ``begin_node`` or ``FaultEvent`` outside its one owner, in line order."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    where = os.path.relpath(path, ROOT)
+    return [f"{where}:{line}: calls {name} in {owner or 'the module'}"
+            for line, name, owner in sorted(_position_calls(tree))
+            if (os.path.basename(path), owner) != POSITION_OWNERS[name]]
+
+
+def test_position_faults_helper_names_each_call_outside_its_owner(tmp_path):
+    module = tmp_path / "sdc.py"
+    module.write_text(
+        "class KernelHook:\n"
+        "    def corrupt(self):\n"
+        "        return FaultEvent(1)\n"
+        "    def begin_node(self, sweep, node, state):\n"
+        "        super().begin_node(sweep, node, state)\n"
+        "def evaluate(sys, state):\n"
+        "    sys.hook.begin_node(1, 0, state)\n"
+        "    return faults.FaultEvent(2)\n"
+        "def march(hook):\n"
+        "    hook.begin_step(0, 0.0)\n"
+        "def predictor(hook):\n"
+        "    hook.begin_step(1, 0.0)\n"
+        "hook.begin_node(1, 0, None)\n"
+    )
+    owner = tmp_path / "faults.py"
+    owner.write_text(
+        "class KernelHook:\n"
+        "    def corrupt(self):\n"
+        "        return FaultEvent(1)\n"
+        "class FaultInjector(KernelHook):\n"
+        "    def filter(self):\n"
+        "        return self.corrupt(), FaultEvent(2)\n"
+    )
+    where, elsewhere = (os.path.relpath(str(p), ROOT) for p in (module, owner))
+    assert position_faults(str(module)) == [
+        f"{where}:3: calls FaultEvent in KernelHook.corrupt",
+        f"{where}:5: calls begin_node in KernelHook.begin_node",
+        f"{where}:8: calls FaultEvent in evaluate",
+        f"{where}:12: calls begin_step in predictor",
+        f"{where}:13: calls begin_node in the module",
+    ]
+    assert position_faults(str(owner)) == [
+        f"{elsewhere}:6: calls FaultEvent in FaultInjector.filter"
+    ]
+
+
+def test_a_kernel_call_position_has_one_source_and_its_event_one_writer():
+    folder = os.path.join(SRC, "resilient_sdc")
+    paths = [os.path.join(folder, name) for name in sorted(os.listdir(folder))
+             if name.endswith(".py")]
+    assert len(paths) > 8
+    found = [entry for path in paths for entry in position_faults(path)]
+    assert found == [], "position calls outside their owner:\n" + "\n".join(found)
+    called = set()
+    for path in paths:
+        with open(path) as fh:
+            called.update(name for _, name, _ in _position_calls(ast.parse(fh.read())))
+    assert called == set(POSITION_OWNERS)

@@ -91,6 +91,10 @@ def test_controller_config_validation():
         ControllerConfig(max_restarts=-1)
     with pytest.raises(ValueError):
         ControllerConfig(r1_tol=0.0)
+    for ratio_tol in (0.0, 1.5):
+        with pytest.raises(ValueError, match=rf"^ratio_tol must be in \(0, 1\], got {ratio_tol}$"):
+            ControllerConfig(ratio_tol=ratio_tol)
+    ControllerConfig(ratio_tol=1.0)
 
 
 def test_converged_measures_against_the_first_and_previous_sweep():
@@ -294,9 +298,9 @@ def test_checkpoint_is_an_independent_bitwise_copy():
     attempts = []
 
     class Mutating(KernelHook):
-        def begin_sweep(self, sweep_index):
-            super().begin_sweep(sweep_index)
-            if sweep_index == 1:
+        def begin_node(self, sweep_index, node_index, state):
+            super().begin_node(sweep_index, node_index, state)
+            if (sweep_index, node_index) == (1, 0):
                 attempts.append(None)
 
         def filter(self, kernel_id, array):
@@ -332,10 +336,10 @@ class _CorruptOnAttempts(KernelHook):
         self.bad_attempts = set(bad_attempts)
         self.attempt = -1
 
-    def begin_sweep(self, sweep_index):
-        if sweep_index == 1:
+    def begin_node(self, sweep_index, node_index, state):
+        if (sweep_index, node_index) == (1, 0):
             self.attempt += 1
-        super().begin_sweep(sweep_index)
+        super().begin_node(sweep_index, node_index, state)
 
     def filter(self, kernel_id, array):
         super().filter(kernel_id, array)

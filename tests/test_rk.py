@@ -128,13 +128,12 @@ def test_hook_sees_every_stage_evaluation():
 def _reference_rk_step(phi_n, t, dt, sys):
     phi_n = np.asarray(phi_n, dtype=float)
     hook = sys.hook
-    hook.begin_sweep(1)
     k = np.empty((rk._B.size, phi_n.size))
     for i in range(rk._B.size):
         stage_state = phi_n + dt * (rk._A[i, :i] @ k[:i])
         if not np.isfinite(stage_state).all():
             raise NonRealizableStateError("non-finite state", node_index=i, sweep_index=1)
-        hook.begin_node(i, stage_state)
+        hook.begin_node(1, i, stage_state)
         k[i] = sys.rhs(stage_state, t + rk._C[i] * dt)
         if not np.isfinite(k[i]).all():
             raise NonRealizableStateError(

@@ -156,6 +156,12 @@ def test_predictor_is_euler_substepping(linear):
     # fresh derivative stored at every node
     for state, rhs in zip(sol.node_states, sol.node_rhs):
         np.testing.assert_array_equal(rhs, state)
+    # a step of zero or negative width is refused before any kernel call
+    calls = sys_.hook.call_count
+    for dt in (0.0, -1.0):
+        with pytest.raises(ValueError, match=f"^dt must be positive, got {dt}$"):
+            predictor(phi0, lobatto_rule(3), sys_, 0.0, dt)
+    assert sys_.hook.call_count == calls
 
 
 def test_sweeps_converge_to_the_collocation_solution(linear):
@@ -336,12 +342,10 @@ def _reference_predictor(phi_n, rule, sys, t_start, dt):
     phi_n = np.asarray(phi_n, dtype=float)
     num_nodes = rule.num_nodes
     times = t_start + dt * rule.nodes
-    if sys.hook is not None:
-        sys.hook.begin_sweep(1)
 
     def evaluate(state, m):
         if sys.hook is not None:
-            sys.hook.begin_node(m, state)
+            sys.hook.begin_node(1, m, state)
         f = sys.rhs(state, times[m])
         if not np.isfinite(f).all():
             raise NonRealizableStateError("non-finite rhs evaluation", node_index=m, sweep_index=1)
@@ -361,9 +365,7 @@ def _reference_predictor(phi_n, rule, sys, t_start, dt):
     return NodeSolution(states, rhs_vals, dt, times)
 
 
-def _reference_sweep(sol, rule, sys, *, sweep_index=None):
-    if sys.hook is not None and sweep_index is not None:
-        sys.hook.begin_sweep(sweep_index)
+def _reference_sweep(sol, rule, sys, *, sweep_index):
     times = sol.times
     new_states = sol.node_states.copy()
     new_rhs = sol.node_rhs.copy()
@@ -376,7 +378,7 @@ def _reference_sweep(sol, rule, sys, *, sweep_index=None):
                 "non-finite state", node_index=m + 1, sweep_index=sweep_index
             )
         if sys.hook is not None:
-            sys.hook.begin_node(m + 1, new_states[m + 1])
+            sys.hook.begin_node(sweep_index, m + 1, new_states[m + 1])
         f = sys.rhs(new_states[m + 1], times[m + 1])
         if not np.isfinite(f).all():
             raise NonRealizableStateError(
@@ -542,8 +544,8 @@ class _StateRecordingHook(KernelHook):
         super().__init__()
         self.states = []
 
-    def begin_node(self, node_index, state):
-        super().begin_node(node_index, state)
+    def begin_node(self, sweep_index, node_index, state):
+        super().begin_node(sweep_index, node_index, state)
         self.states.append(state)
 
 
