@@ -24,7 +24,7 @@ from .problems import KERNEL_IDS, IgnitionSurrogate, LinearProblem, ignition_met
 from .quadrature import lobatto_rule
 from .resilience import ControllerConfig, integrate_resilient
 from .rk import rk_integrate
-from .sdc import fixed_sweeps, integrate, step_times
+from .sdc import check_sweep_count, integrate, step_times
 
 __all__ = [
     "RunConfig",
@@ -83,7 +83,7 @@ class RunConfig:
                 f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}"
             )
         lobatto_rule(self.num_nodes)  # raises for a node count without an exact rule
-        fixed_sweeps(self.sweeps)  # raises for a sweep count below 1
+        check_sweep_count(self.sweeps)
         if self.run_id < 0:
             raise ValueError(f"run_id must be >= 0, got {self.run_id}")
         if self.output_dir == "":
@@ -220,7 +220,9 @@ def run_single(cfg):
     ``cfg`` checked itself when it was built, so nothing is checked again.
     Returns a RunReport; integration failures are reported with status
     ``aborted`` rather than raised, so campaign accounting stays simple.
+    An output directory that cannot be made fails before the run.
     """
+    _make_output_dir(cfg)
     hook = _build_hook(cfg)
     problem = cfg.model()
     sys, phi0 = problem.system(hook), problem.initial_state()
@@ -292,11 +294,19 @@ def _collect_metrics(cfg, problem, trajectory, traces, hook, status, dt):
     return metrics
 
 
+def _make_output_dir(cfg):
+    """Make ``cfg.output_dir``, if set; one that cannot be made is a ValueError."""
+    if cfg.output_dir is None:
+        return
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"output_dir {cfg.output_dir!r} is unusable: {exc.strerror}") from None
+
+
 def _write_run_artifacts(report):
     cfg = report.config
     out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-
     records = [event.to_record() for event in report.events]
     if report.one_shot_fired is False:
         records.append({"warning": "one-shot schedule never reached"})
@@ -384,10 +394,11 @@ def run_campaign(cfg, n_runs, base_seed, *, workers=1):
     Run ``i`` is ``cfg`` with run id ``i``.  A windowed fault takes seed
     ``base_seed`` too, so run ``i`` draws the injection stream keyed by
     (base_seed, i), bit for bit the same for any worker count; a
-    ``OneShotSpec`` repeats in every member.  A negative ``base_seed``
-    fails before any run, whatever the fault source.  Statistics cover
-    completed (non-aborted) runs; aborts are tallied in ``crash_count``.
-    ``workers`` processes run the members; 1 runs them in this process.
+    ``OneShotSpec`` repeats in every member.  A negative ``base_seed``,
+    whatever the fault source, or an unusable output directory fails before
+    any run.  Statistics cover completed (non-aborted) runs; aborts are
+    tallied in ``crash_count``.  ``workers`` processes run the members; 1
+    runs them in this process.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
@@ -395,6 +406,7 @@ def run_campaign(cfg, n_runs, base_seed, *, workers=1):
         raise ValueError(f"workers must be >= 1, got {workers}")
     if base_seed < 0:
         raise ValueError(f"seed must be >= 0, got {base_seed}")
+    _make_output_dir(cfg)
     fault = replace(cfg.fault, seed=base_seed) if isinstance(cfg.fault, FaultConfig) else cfg.fault
     members = [replace(cfg, run_id=i, fault=fault, output_dir=None) for i in range(n_runs)]
     if workers > 1:
@@ -421,8 +433,6 @@ def run_campaign(cfg, n_runs, base_seed, *, workers=1):
 
 def _write_campaign_artifacts(cfg, base_seed, rows, summary):
     out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-
     run_rows = [
         f"{row['run_id']},{base_seed},{float(row['scalar'])!r},{row['status']},"
         f"{row['restarts']},{row['fault_events']},{row['total_sweeps']}\r\n"
@@ -462,8 +472,8 @@ def sensitivity_sweep(cfg, kernels=None, *, step_index=None, scale=OneShotSpec.s
     deviation, and writes the rows to ``sensitivity.csv`` in
     ``cfg.output_dir`` when it is set; the runs themselves write nothing.
     Every kernel's run config is built, and so checked, before the baseline
-    runs, so an empty kernel list, an unknown kernel id or a step the run
-    never reaches fails at once.
+    runs, so an empty kernel list, an unknown kernel id, a step the run
+    never reaches or an unusable output directory fails at once.
     """
     if cfg.problem != "ignition":
         raise ValueError("sensitivity_sweep is defined for the ignition surrogate")
@@ -476,6 +486,7 @@ def sensitivity_sweep(cfg, kernels=None, *, step_index=None, scale=OneShotSpec.s
     base_cfg = replace(cfg, fault=FaultConfig(), output_dir=None)
     spec = OneShotSpec(step_index=step_index, offset="max_T", scale=scale)
     kernel_cfgs = [replace(base_cfg, fault=replace(spec, kernel_id=kernel)) for kernel in kernels]
+    _make_output_dir(cfg)
     baseline = run_single(base_cfg)
     base_peak = baseline.metrics["final_peak_T"]
 
@@ -487,7 +498,6 @@ def sensitivity_sweep(cfg, kernels=None, *, step_index=None, scale=OneShotSpec.s
         rows.append({"kernel": kernel, "final_peak_T": peak, "deviation": peak - base_peak,
                      "status": "crashed" if crashed else "completed"})
     if cfg.output_dir is not None:
-        os.makedirs(cfg.output_dir, exist_ok=True)
         lines = [
             f"{row['kernel']},{row['final_peak_T']!r},{row['deviation']!r},{row['status']}\r\n"
             for row in rows

@@ -2,15 +2,18 @@
 
 The controller watches the collocation residual that SDC provides for free:
 a step is accepted once the residual has dropped far below its predictor
-level and stopped improving, or when the sweep budget is exhausted (a
-capped step).  States that leave the realizable set roll the step back to a
-cached checkpoint; the fault window counter is deliberately not rewound, so
-a retried step generally escapes the fault that killed it.
+level and stopped improving (``converged``), or when the sweep budget is
+exhausted (a capped step, which ``sdc.integrate_step`` marks).  States that
+leave the realizable set roll the step back to a cached checkpoint; the
+fault window counter is deliberately not rewound, so a retried step
+generally escapes the fault that killed it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -20,7 +23,6 @@ from .sdc import integrate_step, march, realizability_guard
 __all__ = [
     "ControllerConfig",
     "converged",
-    "controller_policy",
     "realizability_guard",
     "checkpointed_step",
     "integrate_resilient",
@@ -42,7 +44,7 @@ class ControllerConfig:
             raise ValueError(f"r1_tol must be in (0, 1), got {self.r1_tol}")
         if not 0.0 < self.ratio_tol <= 1.0:
             raise ValueError(f"ratio_tol must be in (0, 1], got {self.ratio_tol}")
-        if self.max_sweeps < 2:
+        if operator.index(self.max_sweeps) < 2:
             raise ValueError(f"max_sweeps must be >= 2, got {self.max_sweeps}")
         if self.max_restarts < 0:
             raise ValueError(f"max_restarts must be >= 0, got {self.max_restarts}")
@@ -67,43 +69,26 @@ def converged(norms, cfg):
     return r1 < cfg.r1_tol and r_prev > cfg.ratio_tol
 
 
-def controller_policy(cfg):
-    """The resilient sweep policy: sweep until there are the two norms
-    ``converged`` needs, then until it holds, and stop at ``max_sweeps``
-    regardless."""
-
-    def keep_sweeping(norms):
-        sweeps_taken = len(norms)
-        if sweeps_taken >= cfg.max_sweeps:
-            return False
-        if sweeps_taken < 2:
-            return True
-        return not converged(norms, cfg)
-
-    return keep_sweeping
-
-
 def checkpointed_step(phi_n, t_start, dt, rule, sys, cfg):
-    """One controlled step from ``phi_n`` at ``t_start``, with rollback on
-    realizability failures.
+    """One controlled step from ``phi_n`` at ``t_start``: ``integrate_step``
+    at ``cfg.max_sweeps`` sweeps with ``converged`` as its acceptance test,
+    rolled back on realizability failures.
 
-    The start state is checkpointed once, as a copy that the caller's array
-    cannot reach.  The sweep loop runs under the acceptance controller; if
-    any node state turns non-finite or fails the system's ``realizability``
-    (``integrate_step`` checks both), the step restarts from a copy of the
-    (bit-identical) checkpoint, up to ``cfg.max_restarts`` times, after
-    which UnrecoverableStepError is raised.  The fault hook is never
-    rewound.  The accepted step's trace records whether it was capped: it
-    reached ``max_sweeps`` without meeting the residual test.
+    The start state is checkpointed once, as a copy the caller's array
+    cannot reach.  A step whose node state turns non-finite or fails the
+    system's ``realizability`` (``integrate_step`` checks both) restarts
+    from a copy of the (bit-identical) checkpoint, up to
+    ``cfg.max_restarts`` times, after which UnrecoverableStepError is
+    raised.  The fault hook is never rewound.
     """
     checkpoint = np.array(phi_n, dtype=float, copy=True)
-    policy = controller_policy(cfg)
+    accept = partial(converged, cfg=cfg)
     restarts = 0
     while True:
         try:
-            end_state, trace = integrate_step(checkpoint.copy(), t_start, dt, rule, sys, policy)
+            end_state, trace = integrate_step(checkpoint.copy(), t_start, dt, rule, sys,
+                                              cfg.max_sweeps, accept)
             trace.restarts = restarts
-            trace.capped = not converged(trace.residual_maxnorms, cfg)
             return end_state, trace
         except NonRealizableStateError as exc:
             restarts += 1

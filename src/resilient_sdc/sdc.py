@@ -3,8 +3,10 @@
 A step starts from a first-order explicit-Euler predictor across the nodes
 and applies correction sweeps that converge to the collocation solution.
 The collocation residual is available after every sweep and doubles as the
-soft-error detection signal used by the resilience controller.  Every rhs
-evaluation of every integrator, RK4 stages included, runs through ``evaluate``.
+soft-error detection signal.  ``integrate_step``, the one sweep loop, stops
+at a sweep cap or once an acceptance test holds and marks a capped step.
+Every rhs evaluation of every integrator, RK4 stages included, runs through
+``evaluate``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ __all__ = [
     "non_finite_violation",
     "realizability_guard",
     "residual_max_norm",
-    "fixed_sweeps",
+    "check_sweep_count",
     "integrate_step",
     "march",
     "integrate",
@@ -80,8 +82,8 @@ class SweepTrace:
 
     ``residual_maxnorms`` holds one norm per sweep, predictor included, so
     its length is the step's sweep count (``sweeps_taken``).  ``capped``
-    marks a step that reached ``max_sweeps`` without meeting the residual
-    test; only the resilient controller sets it.
+    marks a step that reached its sweep cap without meeting its acceptance
+    test; ``integrate_step`` sets it, for steps given a test.
     """
 
     residual_maxnorms: list = field(default_factory=list)
@@ -222,38 +224,41 @@ def _check_states(sol, sys, sweep_index, *, first_node=0):
             )
 
 
-def fixed_sweeps(count):
-    """Sweep policy for a fixed sweep count, predictor included."""
+def check_sweep_count(count):
+    """Return the sweep count ``count`` (predictor included), checked to be an int >= 1."""
     count = operator.index(count)
     if count < 1:
         raise ValueError(f"sweep count must be >= 1, got {count}")
-    return lambda norms: len(norms) < count
+    return count
 
 
-def integrate_step(phi_n, t_start, dt, rule, sys, keep_sweeping):
-    """Advance one step: predictor plus sweeps while the policy asks for more.
-
-    ``keep_sweeping`` maps the list of recorded residual max-norms to True
-    (sweep again) or False (accept); ``fixed_sweeps(n)`` makes one for a
-    fixed count.  The system's ``realizability``, when set, is applied to
-    the node states after every sweep; a violation raises
+def integrate_step(phi_n, t_start, dt, rule, sys, max_sweeps, accept=None):
+    """Advance one step: the predictor (sweep 1), then correction sweeps
+    until ``max_sweeps`` residual max-norms are recorded or, from the second
+    on, ``accept(norms)`` holds; without ``accept`` every step takes
+    ``max_sweeps`` sweeps.  The system's ``realizability``, when set, is
+    applied to the node states after every sweep; a violation raises
     NonRealizableStateError.
 
-    Returns (end state, SweepTrace).  The trace records the residual
-    max-norm after the predictor and after every correction sweep, the one
-    record of the step's sweep count.
+    Returns (end state, SweepTrace).  The trace's residual max-norms, one
+    per sweep, are the one record of the step's sweep count; it is
+    ``capped`` when ``accept`` was given and never held.
     """
+    max_sweeps = check_sweep_count(max_sweeps)
     sol = predictor(phi_n, rule, sys, t_start, dt)
     _check_states(sol, sys, 1)
     norms = [residual_max_norm(sol, rule)]
 
-    while keep_sweeping(norms):
+    while len(norms) < max_sweeps:
         sweep_index = len(norms) + 1
         sol = sdc_sweep(sol, rule, sys, sweep_index=sweep_index)
         _check_states(sol, sys, sweep_index, first_node=1)
         norms.append(residual_max_norm(sol, rule))
+        if accept is not None and accept(norms):
+            return sol.node_states[-1].copy(), SweepTrace(residual_maxnorms=norms)
 
-    return sol.node_states[-1].copy(), SweepTrace(residual_maxnorms=norms)
+    return sol.node_states[-1].copy(), SweepTrace(residual_maxnorms=norms,
+                                                  capped=accept is not None)
 
 
 def step_times(t0, t_end, dt):
@@ -328,9 +333,8 @@ def integrate(phi_0, t0, t_end, dt, rule, sys, sweeps):
     propagate with the step index and the completed steps' traces attached.
     Within the package only ``campaign.run_single`` calls it.
     """
-    keep_sweeping = fixed_sweeps(sweeps)
 
     def step(k, phi, t_k, h):
-        return integrate_step(phi, t_k, h, rule, sys, keep_sweeping)
+        return integrate_step(phi, t_k, h, rule, sys, sweeps)
 
     return march(phi_0, t0, t_end, dt, sys, step)

@@ -31,8 +31,8 @@ from resilient_sdc.faults import (
 )
 from resilient_sdc.problems import LINEAR_KERNEL_ID, LinearProblem
 from resilient_sdc.quadrature import lobatto_rule
-from resilient_sdc.resilience import ControllerConfig, controller_policy
-from resilient_sdc.sdc import fixed_sweeps, integrate_step, predictor, sdc_sweep
+from resilient_sdc.resilience import ControllerConfig, converged
+from resilient_sdc.sdc import integrate_step, predictor, sdc_sweep
 
 _DT = RunConfig(problem="ignition").surrogate.default_dt()
 
@@ -62,11 +62,13 @@ def _criterion(number, title, body):
     record_criterion(number, title, True, detail)
 
 
-def _first_accepted_length(norms, policy):
+def _first_accepted_length(norms, controller):
+    """The sweep count the controller takes on ``norms``: the first length
+    from two on at which ``converged`` holds, else its cap."""
     return next(
-        length
-        for length in range(1, len(norms) + 1)
-        if policy(norms[:length]) is False
+        (length for length in range(2, controller.max_sweeps)
+         if converged(norms[:length], controller)),
+        controller.max_sweeps,
     )
 
 
@@ -208,19 +210,18 @@ def test_criterion_5_no_extra_sweeps_without_faults(fault_free_resilient):
         assert report.metrics["fault_events"] == 0
         assert report.metrics["restarts"] == 0
         controller = ControllerConfig()
-        policy = controller_policy(controller)
 
         mismatches = sum(
             1
             for trace in report.traces
-            if _first_accepted_length(trace.residual_maxnorms, policy)
+            if _first_accepted_length(trace.residual_maxnorms, controller)
             != trace.sweeps_taken
         )
         assert mismatches == 0
 
         # Re-integrate a sample of steps from their recorded start states at
         # the fixed sweep cap: the residual trail must match bitwise and the
-        # controller count must equal the first length the policy accepts.
+        # controller count must equal the first length ``converged`` accepts.
         rule = lobatto_rule(report.config.num_nodes)
         system = report.config.surrogate.system(hook=KernelHook())
         sampled = 0
@@ -228,12 +229,12 @@ def test_criterion_5_no_extra_sweeps_without_faults(fault_free_resilient):
             t0, state0 = report.trajectory[i]
             t1 = report.trajectory[i + 1][0]
             _, trace = integrate_step(
-                state0.copy(), t0, t1 - t0, rule, system, fixed_sweeps(controller.max_sweeps)
+                state0.copy(), t0, t1 - t0, rule, system, controller.max_sweeps
             )
             recorded = report.traces[i].residual_maxnorms
             assert trace.residual_maxnorms[: len(recorded)] == recorded
             assert (
-                _first_accepted_length(trace.residual_maxnorms, policy)
+                _first_accepted_length(trace.residual_maxnorms, controller)
                 == report.traces[i].sweeps_taken
             )
             sampled += 1

@@ -130,6 +130,7 @@ def test_snapshot_of_special_values_matches_the_reference(tmp_path):
     state = np.array(specials + specials[::-1])
     final = state[::-1].copy()
     out = tmp_path / "run"
+    out.mkdir()  # run_single makes the directory before the run
     campaign._write_run_artifacts(RunReport(
         config=RunConfig(surrogate=cfg, output_dir=str(out)), status="clean",
         trajectory=[(0.0, state), (1.0, final)], traces=[], events=[], metrics={},

@@ -1,8 +1,10 @@
 """Run orchestration: single runs, campaigns, artifacts, and studies."""
 
 import csv
+import errno
 import json
 import math
+import os
 import re
 import warnings
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
@@ -284,6 +286,32 @@ def test_an_empty_output_dir_is_a_config_error_when_built(monkeypatch):
     assert runs == []
 
 
+@pytest.mark.parametrize("below, code", [(True, errno.ENOTDIR), (False, errno.EEXIST)],
+                         ids=["below-a-file", "a-file"])
+def test_an_unusable_output_dir_fails_before_any_run(tmp_path, monkeypatch, below, code):
+    """An output directory that cannot be made, below a file or in its
+    place, is a ValueError naming it: ``run_single`` fails before it
+    integrates, ``run_campaign`` and ``sensitivity_sweep`` before their
+    first run."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "sub" if below else blocker)
+    message = f"^output_dir {re.escape(repr(out))} is unusable: {os.strerror(code)}$"
+    integrations = []
+    monkeypatch.setattr(campaign_module, "integrate_resilient",
+                        lambda *args: integrations.append(args))
+    with pytest.raises(ValueError, match=message):
+        run_single(_ignition_cfg(output_dir=out))
+    assert integrations == []
+    runs = []
+    monkeypatch.setattr(campaign_module, "run_single", runs.append)
+    with pytest.raises(ValueError, match=message):
+        run_campaign(_ignition_cfg(output_dir=out, fault=FaultConfig(mode="type_b")), 3, 1)
+    with pytest.raises(ValueError, match=message):
+        sensitivity_sweep(_ignition_cfg(output_dir=out), kernels=["gradient_T"], step_index=1)
+    assert runs == []
+
+
 def test_an_offset_past_the_kernel_array_is_a_config_error_before_any_run(monkeypatch):
     """The problem gives each kernel's array length: ``assembly`` holds both
     ignition fields, every other ignition kernel one, the linear
@@ -485,6 +513,35 @@ def test_campaign_artifacts_recompute_to_the_summary(tmp_path):
     with open(out / "histogram.csv", newline="") as fh:
         hist_rows = list(csv.DictReader(fh))
     assert sum(int(r["count"]) for r in hist_rows) == len(scalars)
+
+
+def test_linear_campaign_rows_replay_each_member(tmp_path):
+    """A linear-problem campaign records each member's ``final_y`` as its
+    scalar: a ``run_single`` replay of the member gives the row's value,
+    and ``summary.json`` agrees with the rows."""
+    out = tmp_path / "campaign"
+    cfg = RunConfig(problem="linear", output_dir=str(out),
+                    fault=FaultConfig(mode="type_b", window=40))
+    summary = run_campaign(cfg, 4, base_seed=5)
+
+    with open(out / "runs.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["run_id"]) for row in rows] == [0, 1, 2, 3]
+    for row in rows:
+        member = replace(cfg, run_id=int(row["run_id"]), fault=replace(cfg.fault, seed=5),
+                         output_dir=None)
+        report = run_single(member)
+        assert row["scalar"] == repr(report.metrics["final_y"])
+        assert row["status"] == report.status
+
+    completed = [row for row in rows if row["status"] != "aborted"]
+    record = json.loads((out / "summary.json").read_text())
+    assert record["scalars"] == sorted(float(row["scalar"]) for row in completed)
+    assert record["mean"] == summary.mean == float(np.mean(record["scalars"]))
+    assert record["runs"] == len(rows)
+    assert record["crash_count"] == len(rows) - len(completed)
+    assert record["restart_count"] == sum(int(row["restarts"]) for row in completed)
+    assert len(set(record["scalars"])) > 1  # the faults moved the members apart
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line entry point: flags, config files, exit codes, artifacts."""
 
 import csv
+import errno
 import json
 import os
 import re
@@ -371,6 +372,23 @@ def test_settings_rejected_before_any_run_are_config_errors(tmp_path, capsys, mo
     assert rc == EXIT_CONFIG
     assert (out, err) == ("", f"config error: {message}\n")
     assert calls == [] and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["ignite", "inject", "sense", "campaign"])
+def test_an_unusable_output_dir_is_a_config_error_before_any_run(tmp_path, capsys, monkeypatch,
+                                                                 command):
+    """An output directory below a file cannot be made: one config error
+    line, exit 2, and nothing integrated."""
+    calls = []
+    for name in ("integrate", "integrate_resilient", "rk_integrate"):
+        monkeypatch.setattr(f"resilient_sdc.campaign.{name}", lambda *args: calls.append(args))
+    (tmp_path / "file").write_text("")
+    out = str(tmp_path / "file" / "sub")
+    rc = main(["--output-dir", out, command, "--t-end", "2e-4"])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr() == (
+        "", f"config error: output_dir {out!r} is unusable: {os.strerror(errno.ENOTDIR)}\n")
+    assert calls == []
 
 
 def _library_calls(monkeypatch, flags):

@@ -12,7 +12,9 @@ integrator, only ``sdc.march`` sets numpy's floating-point error state, no
 package module imports ``warnings`` or ``logging``, and a kernel call's
 position reaches its hook one way: ``sdc.march`` alone calls ``begin_step``,
 ``sdc.evaluate`` alone ``begin_node``, and ``KernelHook.corrupt`` alone
-builds a ``FaultEvent``.
+builds a ``FaultEvent``.  ``sdc.integrate_step`` alone builds a
+``SweepTrace`` and marks it capped, and only ``resilience`` names
+``converged``.
 """
 
 import ast
@@ -465,3 +467,106 @@ def test_a_kernel_call_position_has_one_source_and_its_event_one_writer():
         with open(path) as fh:
             called.update(name for _, name, _ in _position_calls(ast.parse(fh.read())))
     assert called == set(POSITION_OWNERS)
+
+
+# The one sweep loop: ``sdc.integrate_step`` alone builds a step's
+# ``SweepTrace`` and marks it capped, in the loop that stops at the cap.
+# The acceptance test ``converged`` is referenced in ``resilience`` alone,
+# and no separate sweep policy (``fixed_sweeps``, ``controller_policy``)
+# writes the cap a second time.
+TRACE_OWNER = ("sdc.py", "integrate_step")
+ACCEPTANCE_MODULE = "resilience.py"
+GONE_POLICIES = ("fixed_sweeps", "controller_policy")
+
+
+def sweep_loop_faults(path):
+    """``file:line: fault`` for each definition or import of a gone sweep
+    policy, each ``SweepTrace(...)`` call and ``.capped`` assignment outside
+    ``sdc.integrate_step``, and each reference to ``converged`` outside
+    ``resilience``, in line order; the owner named is the module-level
+    function or class the fault sits in."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    where = os.path.relpath(path, ROOT)
+    module = os.path.basename(path)
+    shunned = GONE_POLICIES + (() if module == ACCEPTANCE_MODULE else ("converged",))
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        label = owner or "the module"
+        in_loop = (module, owner) == TRACE_OWNER
+        for node in ast.walk(top):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in GONE_POLICIES:
+                found.append((node.lineno, f"defines {node.name}"))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [(node.lineno, f"imports {alias.name}") for alias in node.names
+                          if alias.name in shunned]
+            elif name == "converged" and "converged" in shunned:
+                found.append((node.lineno, f"uses converged in {label}"))
+            elif in_loop:
+                continue
+            elif isinstance(node, ast.Call) and "SweepTrace" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                found.append((node.lineno, f"calls SweepTrace in {label}"))
+            elif isinstance(node, ast.Attribute) and name == "capped" and isinstance(
+                    node.ctx, ast.Store):
+                found.append((node.lineno, f"assigns capped in {label}"))
+    return [f"{where}:{line}: {fault}" for line, fault in sorted(found)]
+
+
+def test_sweep_loop_faults_helper_names_each_fault(tmp_path):
+    module = tmp_path / "sdc.py"
+    module.write_text(
+        "from .resilience import converged, ControllerConfig\n"
+        "def fixed_sweeps(count):\n"
+        "    return count\n"
+        "def integrate_step(accept):\n"
+        "    trace = SweepTrace([1.0], capped=True)\n"
+        "    trace.capped = False\n"
+        "    return trace\n"
+        "def checkpointed_step(cfg):\n"
+        "    trace = sdc.SweepTrace([1.0])\n"
+        "    trace.capped = not resilience.converged(trace.residual_maxnorms, cfg)\n"
+        "    return trace.capped\n"
+        "class Controller:\n"
+        "    def controller_policy(self):\n"
+        "        return converged\n"
+    )
+    owner = tmp_path / "resilience.py"
+    owner.write_text(
+        "from .sdc import controller_policy, integrate_step\n"
+        "def converged(norms, cfg):\n"
+        "    return True\n"
+        "def step(cfg):\n"
+        "    return integrate_step(8, partial(converged, cfg=cfg))\n"
+    )
+    where, elsewhere = (os.path.relpath(str(p), ROOT) for p in (module, owner))
+    assert sweep_loop_faults(str(module)) == [
+        f"{where}:1: imports converged",
+        f"{where}:2: defines fixed_sweeps",
+        f"{where}:9: calls SweepTrace in checkpointed_step",
+        f"{where}:10: assigns capped in checkpointed_step",
+        f"{where}:10: uses converged in checkpointed_step",
+        f"{where}:13: defines controller_policy",
+        f"{where}:14: uses converged in Controller",
+    ]
+    assert sweep_loop_faults(str(owner)) == [f"{elsewhere}:1: imports controller_policy"]
+
+
+def test_one_sweep_loop_builds_the_trace_and_marks_a_capped_step():
+    folder = os.path.join(SRC, "resilient_sdc")
+    paths = [os.path.join(folder, name) for name in sorted(os.listdir(folder))
+             if name.endswith(".py")]
+    assert len(paths) > 8
+    found = [entry for path in paths for entry in sweep_loop_faults(path)]
+    assert found == [], "sweep-loop faults:\n" + "\n".join(found)
+    with open(os.path.join(folder, TRACE_OWNER[0])) as fh:
+        (loop,) = [top for top in ast.parse(fh.read()).body
+                   if getattr(top, "name", None) == TRACE_OWNER[1]]
+    built = [node for node in ast.walk(loop) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "SweepTrace"]
+    assert any(kw.arg == "capped" for call in built for kw in call.keywords)
+    with open(os.path.join(folder, ACCEPTANCE_MODULE)) as fh:
+        assert "converged" in {node.id for node in ast.walk(ast.parse(fh.read()))
+                               if isinstance(node, ast.Name)}

@@ -19,13 +19,12 @@ from resilient_sdc.quadrature import lobatto_rule
 from resilient_sdc.resilience import (
     ControllerConfig,
     checkpointed_step,
-    controller_policy,
     converged,
     integrate_resilient,
     realizability_guard,
 )
 from resilient_sdc.rk import rk_integrate
-from resilient_sdc.sdc import integrate
+from resilient_sdc.sdc import integrate, integrate_step
 
 CFG = ControllerConfig()
 
@@ -40,44 +39,63 @@ def _trail(r1, r_prev, sweeps):
     return [1.0] + [0.5] * (sweeps - 3) + [r1 / r_prev, r1]
 
 
+def _step_on_trail(trail, cfg=CFG):
+    """One ``integrate_step`` of the linear problem at ``cfg``'s cap whose
+    acceptance test applies ``converged`` to ``trail``, scripted residual
+    norms, in place of the step's own.  Returns (the norm count of each
+    test, the step's sweep count, its capped flag)."""
+    seen = []
+
+    def accept(norms):
+        assert len(norms) <= len(trail)
+        seen.append(len(norms))
+        return converged(trail[: len(norms)], cfg)
+
+    prob = LinearProblem()
+    _, trace = integrate_step(prob.initial_state(), 0.0, 0.1, lobatto_rule(3), prob.system(),
+                              cfg.max_sweeps, accept)
+    return seen, trace.sweeps_taken, trace.capped
+
+
 def test_accepts_converged_and_stalled_residual():
     # residual down six orders and the last sweep barely helped: accept
     norms = _trail(1e-6, 0.95, 4)
     assert converged(norms, CFG) is True
-    assert controller_policy(CFG)(norms) is False
+    assert _step_on_trail(norms) == ([2, 3, 4], 4, False)
 
 
 def test_continues_while_residual_is_high():
     norms = _trail(1e-3, 0.95, 4)
     assert converged(norms, CFG) is False
-    assert controller_policy(CFG)(norms) is True
+    # the residual never drops far enough, so the step runs to the cap
+    trail = norms + [1e-3] * (CFG.max_sweeps - 4)
+    assert _step_on_trail(trail) == (list(range(2, CFG.max_sweeps + 1)), CFG.max_sweeps, True)
 
 
 def test_continues_while_still_improving():
     norms = _trail(1e-6, 0.5, 4)
     assert converged(norms, CFG) is False
-    assert controller_policy(CFG)(norms) is True
+    # one more sweep that barely helps is accepted
+    assert _step_on_trail(norms + [0.99e-6] * 4) == ([2, 3, 4, 5], 5, False)
 
 
 def test_accepts_unconditionally_at_the_sweep_cap():
-    # the policy stops at max_sweeps; the test is not met, so the step is capped
+    # the loop stops at max_sweeps; the test is not met, so the step is capped
     norms = _trail(0.5, 0.2, CFG.max_sweeps)
-    assert controller_policy(CFG)(norms) is False
     assert converged(norms, CFG) is False
+    assert _step_on_trail(norms) == (list(range(2, CFG.max_sweeps + 1)), CFG.max_sweeps, True)
 
 
 def test_requires_minimum_sweeps():
-    """The policy sweeps until it has the two norms ``converged`` needs, and
-    at the lowest cap it stops there."""
-    assert controller_policy(CFG)([1.0]) is True
-    lowest_cap = controller_policy(ControllerConfig(max_sweeps=2))
-    assert lowest_cap([1.0]) is True
-    assert lowest_cap([1.0, 0.5]) is False
+    """The first test comes at the two norms ``converged`` needs, even on a
+    trail it accepts at once, and at the lowest cap the loop stops there."""
+    assert _step_on_trail([0.0] * CFG.max_sweeps) == ([2], 2, False)
+    assert _step_on_trail([1.0, 0.5], ControllerConfig(max_sweeps=2)) == ([2], 2, True)
 
 
 def test_zero_residual_accepts_immediately_once_eligible():
     assert converged([1.0, 0.0], CFG) is True
-    assert controller_policy(CFG)([1.0, 0.0]) is False
+    assert _step_on_trail([1.0, 0.0]) == ([2], 2, False)
     # a zero first residual counts as converged too
     assert converged([0.0, 1e-3], CFG) is True
     # a zero previous residual reads as still improving (r_prev = 0)
@@ -87,6 +105,8 @@ def test_zero_residual_accepts_immediately_once_eligible():
 def test_controller_config_validation():
     with pytest.raises(ValueError):
         ControllerConfig(max_sweeps=1)
+    with pytest.raises(TypeError):  # the sweep loop's cap is a count
+        ControllerConfig(max_sweeps=2.5)
     with pytest.raises(ValueError):
         ControllerConfig(max_restarts=-1)
     with pytest.raises(ValueError):
@@ -105,12 +125,22 @@ def test_converged_measures_against_the_first_and_previous_sweep():
     assert converged(norms, ControllerConfig(r1_tol=0.26, ratio_tol=0.5)) is False
 
 
-def test_policy_matches_predicate_on_recorded_trails():
-    policy = controller_policy(CFG)
-    assert policy([1.0]) is True  # not enough history yet
-    assert policy([1.0, 0.2]) is True
-    assert policy([1.0, 1e-6, 0.99e-6]) is False
-    assert policy([1.0] * CFG.max_sweeps) is False
+def test_the_loop_stops_where_the_predicate_first_holds():
+    """On each trail the step takes the first length from two on at which
+    ``converged`` holds, testing once per correction sweep, or stops capped
+    at ``max_sweeps``."""
+    cap = CFG.max_sweeps
+    trails = [
+        [1.0, 1e-6, 0.99e-6] + [0.99e-6] * (cap - 3),
+        [1.0, 0.2] + [0.2 ** k for k in range(2, cap)],
+        [1.0] * cap,
+        [1.0, 0.0] + [1.0] * (cap - 2),
+        _trail(1e-6, 0.95, cap),
+    ]
+    for trail in trails:
+        accepted = [n for n in range(2, cap + 1) if converged(trail[:n], CFG)]
+        sweeps = accepted[0] if accepted else cap
+        assert _step_on_trail(trail) == (list(range(2, sweeps + 1)), sweeps, not accepted)
 
 
 # ---------------------------------------------------------------------------

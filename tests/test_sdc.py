@@ -19,7 +19,6 @@ from resilient_sdc.sdc import (
     NodeSolution,
     ODESystem,
     all_finite,
-    fixed_sweeps,
     integrate,
     integrate_step,
     predictor,
@@ -207,20 +206,27 @@ def test_residual_decays_monotonically_at_first(linear):
 def test_integrate_step_fixed_count_controls_iterations(linear):
     _, sys_, phi0 = linear
     rule = lobatto_rule(3)
-    _, trace = integrate_step(phi0, 0.0, 1.0, rule, sys_, fixed_sweeps(5))
+    _, trace = integrate_step(phi0, 0.0, 1.0, rule, sys_, 5)
     assert trace.sweeps_taken == 5
     assert len(trace.residual_maxnorms) == 5
+    assert trace.capped is False  # no acceptance test, so no step is capped
     with pytest.raises(AttributeError):  # the norms are the one record of the count
         trace.sweeps_taken = 4
-    with pytest.raises(ValueError):
-        integrate_step(phi0, 0.0, 1.0, rule, sys_, fixed_sweeps(0))
+    with pytest.raises(ValueError, match="^sweep count must be >= 1, got 0$"):
+        integrate_step(phi0, 0.0, 1.0, rule, sys_, 0)
+    with pytest.raises(TypeError):
+        integrate_step(phi0, 0.0, 1.0, rule, sys_, 2.0)
 
 
-def test_integrate_step_policy_callable(linear):
+def test_integrate_step_stops_when_accept_holds(linear):
     _, sys_, phi0 = linear
     rule = lobatto_rule(3)
-    _, trace = integrate_step(phi0, 0.0, 1.0, rule, sys_, lambda norms: len(norms) < 3)
+    _, trace = integrate_step(phi0, 0.0, 1.0, rule, sys_, 5, lambda norms: len(norms) == 3)
     assert trace.sweeps_taken == 3
+    assert trace.capped is False
+    _, trace = integrate_step(phi0, 0.0, 1.0, rule, sys_, 5, lambda norms: False)
+    assert trace.sweeps_taken == 5
+    assert trace.capped is True
 
 
 def test_integrate_trajectory_layout(linear):
@@ -309,7 +315,7 @@ def test_state_checks_skip_node_zero_after_the_predictor(monkeypatch):
     monkeypatch.setattr(sdc_module, "sdc_sweep",
                         logged(sdc_sweep, lambda kwargs: kwargs["sweep_index"]))
     sys_.realizability = check
-    integrate_step(prob.initial_state(), 0.0, prob.default_dt(), rule, sys_, fixed_sweeps(4))
+    integrate_step(prob.initial_state(), 0.0, prob.default_dt(), rule, sys_, 4)
     assert [sweep for sweep, _, _ in log] == [1, 2, 3, 4]
     for sweep, states, checked in log:
         first = 0 if sweep == 1 else 1
@@ -344,8 +350,7 @@ def _reference_predictor(phi_n, rule, sys, t_start, dt):
     times = t_start + dt * rule.nodes
 
     def evaluate(state, m):
-        if sys.hook is not None:
-            sys.hook.begin_node(1, m, state)
+        sys.hook.begin_node(1, m, state)
         f = sys.rhs(state, times[m])
         if not np.isfinite(f).all():
             raise NonRealizableStateError("non-finite rhs evaluation", node_index=m, sweep_index=1)
@@ -377,8 +382,7 @@ def _reference_sweep(sol, rule, sys, *, sweep_index):
             raise NonRealizableStateError(
                 "non-finite state", node_index=m + 1, sweep_index=sweep_index
             )
-        if sys.hook is not None:
-            sys.hook.begin_node(sweep_index, m + 1, new_states[m + 1])
+        sys.hook.begin_node(sweep_index, m + 1, new_states[m + 1])
         f = sys.rhs(new_states[m + 1], times[m + 1])
         if not np.isfinite(f).all():
             raise NonRealizableStateError(
